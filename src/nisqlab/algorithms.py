@@ -30,6 +30,7 @@ from .oracles import (
 from .qsim import (
     CNOT,
     DENSITY_QUBIT_CAP,
+    PAULI_MATRICES,
     STATEVECTOR_QUBIT_CAP,
     DensityMatrix,
     Gate,
@@ -39,6 +40,7 @@ from .qsim import (
     NoisyCircuit,
     OracleCall,
     X,
+    _as_noise_rate,
     depolarize_all,
     evolve_statevector,
     exact_output_distribution,
@@ -62,10 +64,6 @@ SHADOW_EXACT_CAP = 8
 _HX = np.array([[1, 1], [-1, 1]], dtype=np.complex128) / math.sqrt(2)  # |0> -> |->
 
 
-def _as_rate(lam) -> NoiseRate:
-    return lam if isinstance(lam, NoiseRate) else NoiseRate(float(lam))
-
-
 # ---------------------------------------------------------------------------
 # Bernstein-Vazirani with majority votes
 # ---------------------------------------------------------------------------
@@ -81,7 +79,7 @@ class BVRunConfig:
     repetitions: int = 0  # 0 = derive from (n, noise, delta)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "noise", _as_rate(self.noise))
+        object.__setattr__(self, "noise", _as_noise_rate(self.noise))
         if self.n < 1:
             raise UsageError("n must be positive")
         if not (0.0 < self.delta < 1.0):
@@ -376,7 +374,7 @@ def shadow_distinguish(
     computed from the actual density matrices.
     """
     n = len(pauli)
-    noise = _as_rate(noise)
+    noise = _as_noise_rate(noise)
     if n > SHADOW_EXACT_CAP:
         raise CapacityError(f"exact distinguishing caps at {SHADOW_EXACT_CAP} qubits")
     if strategy != "pauli":
@@ -405,20 +403,12 @@ def shadow_distinguish(
     return DistinguishResult(advantage, per_query, queries, slack)
 
 
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-
-
 def _pauli_matrix(pauli: str) -> np.ndarray:
     out = np.array([[1.0]], dtype=np.complex128)
     for ch in pauli:
-        if ch not in _PAULI_MATS:
+        if ch not in PAULI_MATRICES:
             raise UsageError(f"bad Pauli letter {ch!r}")
-        out = np.kron(out, _PAULI_MATS[ch])
+        out = np.kron(out, PAULI_MATRICES[ch])
     return out
 
 
@@ -449,7 +439,7 @@ def lifted_simon_tv(
 ) -> dict:
     """Exact TV between template outputs under the lifted function vs the
     identity oracle, against the damping bound 4 N exp(-lambda n / 4)."""
-    noise = _as_rate(noise)
+    noise = _as_noise_rate(noise)
     if 3 * n > DENSITY_QUBIT_CAP:
         raise CapacityError(
             f"lifted template needs 3n <= {DENSITY_QUBIT_CAP} qubits, got {3 * n}"
@@ -517,7 +507,7 @@ def generate_noisy_parity(
     wires: x is the measured constraint vector and y = 0 by convention.
     """
     n = oracle.n_in
-    noise = _as_rate(noise)
+    noise = _as_noise_rate(noise)
     seed = resolve_seed(seed)
     if oracle.m_out == 1:
         circuit = NoisyCircuit(

@@ -20,18 +20,6 @@ def parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-def int_to_vec(x: int, width: int) -> np.ndarray:
-    """GF(2) row vector (uint8), MSB first."""
-    return np.array([(x >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
-
-
-def vec_to_int(v: np.ndarray) -> int:
-    out = 0
-    for b in np.asarray(v, dtype=np.uint8).reshape(-1):
-        out = (out << 1) | int(b & 1)
-    return out
-
-
 def str_to_arr(s: str) -> np.ndarray:
     """'0101' -> uint8 array [0,1,0,1]."""
     return np.frombuffer(s.encode(), dtype=np.uint8) - ord("0")

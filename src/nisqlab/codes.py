@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import arr_to_str, str_to_arr
-from .errors import CapacityError, UsageError
+from .errors import CapacityError, InvariantViolation, UsageError
 from .oracles import SimonSpec, make_simon
 from .qsim import PureState
 
@@ -200,7 +200,8 @@ def _membership_a(arr: np.ndarray, base: BaseCode, r: int) -> DecodedBit:
             if not dec.is_bottom:
                 decoded[i] = dec.bit
     hits = [b for b in (0, 1) if _coset_distance(decoded, base, b) <= base.d]
-    assert len(hits) <= 1, f"error sets overlap at r={r}: {arr_to_str(arr)}"
+    if len(hits) > 1:
+        raise InvariantViolation(f"error sets overlap at r={r}: {arr_to_str(arr)}")
     return DecodedBit.from_bit(hits[0]) if hits else DecodedBit.BOTTOM
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .bits import str_to_arr
 from .errors import CapacityError, UsageError
+from .metrics import dict_tv
 from .oracles import ClassicalOracle, OracleBinding, lift_to_unitary
 from .qsim import (
     NoisyCircuit,
@@ -333,11 +334,7 @@ class LeafDistribution:
             raise UsageError("negative leaf probability")
 
     def tv_to(self, other: "LeafDistribution") -> float:
-        keys = set(self.probabilities) | set(other.probabilities)
-        return 0.5 * sum(
-            abs(self.probabilities.get(t, 0.0) - other.probabilities.get(t, 0.0))
-            for t in keys
-        )
+        return dict_tv(self.probabilities, other.probabilities)
 
     def answer_marginal(self) -> dict:
         out: dict = {}
@@ -350,6 +347,62 @@ class LeafDistribution:
         rows = sorted((t.digest(), p) for t, p in self.probabilities.items())
         body = "\n".join(f"{h},{p:.17g}" for h, p in rows)
         return "transcript_hash,probability\n" + body + "\n"
+
+
+def _enumerate_tree(controller, oracles, noise, step_budget, depth_cap, leaf_cap):
+    """Enumerate the learning tree once, carrying one probability per oracle.
+
+    Classical queries are answered by the first oracle; a circuit edge
+    branches over the union of the stamped circuit's outcome supports under
+    every oracle.  Returns the leaves (transcript -> tuple of path
+    probabilities), their answers, and per visited circuit fingerprint the
+    tuple of exact outcome distributions with their sorted joint support.
+    """
+    views = [_oracle_views(o) for o in oracles]
+    classical = views[0][1]
+    controller = controller.clone()
+    leaves: dict[Transcript, tuple[float, ...]] = {}
+    answers: dict[Transcript, object] = {}
+    nodes: dict[int, tuple] = {}
+    stack = [(Transcript(), (1.0,) * len(views))]
+    n_leaves = 0
+    while stack:
+        transcript, ps = stack.pop()
+        if len(transcript) >= step_budget:
+            raise CapacityError(f"a branch exceeded {step_budget} steps")
+        action = controller.step(transcript)
+        if isinstance(action, Output):
+            n_leaves += 1
+            if n_leaves > leaf_cap:
+                raise CapacityError(f"more than {leaf_cap} leaves")
+            old = leaves.get(transcript, (0.0,) * len(views))
+            leaves[transcript] = tuple(a + p for a, p in zip(old, ps))
+            answers[transcript] = action.answer
+            continue
+        if isinstance(action, ClassicalQuery):
+            if classical is None:
+                raise UsageError("controller made a classical query but the oracle has no classical view")
+            edge = ClassicalEdge(int(action.x), classical.evaluate(int(action.x)))
+            stack.append((transcript.with_edge(edge), ps))
+            continue
+        if not isinstance(action, RunCircuit):
+            raise UsageError(f"controller returned {type(action).__name__}, not an action")
+        circuit = _stamped(action.circuit, noise)
+        if len(circuit.steps) > depth_cap:
+            raise CapacityError(
+                f"circuit depth {len(circuit.steps)} exceeds the cap {depth_cap}"
+            )
+        key = circuit_fingerprint(circuit)
+        if key not in nodes:
+            dists = tuple(exact_output_distribution(circuit, bindings) for bindings, _ in views)
+            nodes[key] = (dists, sorted(set().union(*(d.probabilities for d in dists))))
+        dists, support = nodes[key]
+        for outcome in support:
+            edge = _circuit_edge(circuit, outcome)
+            stack.append((transcript.with_edge(edge), tuple(p * d.get(outcome) for p, d in zip(ps, dists))))
+            if len(stack) + n_leaves > leaf_cap:
+                raise CapacityError(f"branching exceeded {leaf_cap} paths")
+    return leaves, answers, nodes
 
 
 def exact_leaf_distribution(
@@ -366,46 +419,8 @@ def exact_leaf_distribution(
     be pure.  Classical edges are deterministic; circuit edges branch over
     the exact output distribution of the stamped circuit.
     """
-    bindings, classical = _oracle_views(oracle)
-    controller = controller.clone()
-    probs: dict[Transcript, float] = {}
-    answers: dict[Transcript, object] = {}
-    dist_cache: dict[int, "object"] = {}
-    stack = [(Transcript(), 1.0)]
-    leaves = 0
-    while stack:
-        transcript, p = stack.pop()
-        if len(transcript) >= step_budget:
-            raise CapacityError(f"a branch exceeded {step_budget} steps")
-        action = controller.step(transcript)
-        if isinstance(action, Output):
-            leaves += 1
-            if leaves > leaf_cap:
-                raise CapacityError(f"more than {leaf_cap} leaves")
-            probs[transcript] = probs.get(transcript, 0.0) + p
-            answers[transcript] = action.answer
-            continue
-        if isinstance(action, ClassicalQuery):
-            if classical is None:
-                raise UsageError("controller made a classical query but the oracle has no classical view")
-            edge = ClassicalEdge(int(action.x), classical.evaluate(int(action.x)))
-            stack.append((transcript.with_edge(edge), p))
-            continue
-        if not isinstance(action, RunCircuit):
-            raise UsageError(f"controller returned {type(action).__name__}, not an action")
-        circuit = _stamped(action.circuit, noise)
-        if len(circuit.steps) > depth_cap:
-            raise CapacityError(
-                f"circuit depth {len(circuit.steps)} exceeds the cap {depth_cap}"
-            )
-        key = circuit_fingerprint(circuit)
-        if key not in dist_cache:
-            dist_cache[key] = exact_output_distribution(circuit, bindings)
-        for outcome, q in sorted(dist_cache[key].items()):
-            stack.append((transcript.with_edge(_circuit_edge(circuit, outcome)), p * q))
-            if len(stack) + leaves > leaf_cap:
-                raise CapacityError(f"branching exceeded {leaf_cap} paths")
-    return LeafDistribution(probs, answers)
+    leaves, answers, _ = _enumerate_tree(controller, [oracle], noise, step_budget, depth_cap, leaf_cap)
+    return LeafDistribution({t: p for t, (p,) in leaves.items()}, answers)
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +474,9 @@ def lecam_advantage(
     if mode == "exact":
         mix0 = _mixture_leaves(controller, family0, noise, **caps)
         mix1 = _mixture_leaves(controller, family1, noise, **caps)
-        keys = set(mix0) | set(mix1)
-        tv = 0.5 * sum(abs(mix0.get(t, 0.0) - mix1.get(t, 0.0)) for t in keys)
+        tv = dict_tv(mix0, mix1)
         slack = 0.0
-        details = {"mode": mode, "transcripts": len(keys)}
+        details = {"mode": mode, "transcripts": len(mix0 | mix1)}
     elif mode == "sampled":
         master = resolve_seed(seed)
         answer_dists = []
@@ -478,12 +492,10 @@ def lecam_advantage(
                 result = run_controller(controller, family[idx][1], noise, seed=child, **caps)
                 counts[result.answer] = counts.get(result.answer, 0) + 1
             answer_dists.append({a: c / trials for a, c in counts.items()})
-        keys = set(answer_dists[0]) | set(answer_dists[1])
-        tv = 0.5 * sum(
-            abs(answer_dists[0].get(a, 0.0) - answer_dists[1].get(a, 0.0)) for a in keys
-        )
-        slack = 3.0 * (max(len(keys), 1) / trials) ** 0.5
-        details = {"mode": mode, "trials": trials, "answers": len(keys), "slack": slack}
+        tv = dict_tv(*answer_dists)
+        answers = len(answer_dists[0] | answer_dists[1])
+        slack = 3.0 * (max(answers, 1) / trials) ** 0.5
+        details = {"mode": mode, "trials": trials, "answers": answers, "slack": slack}
     else:
         raise UsageError(f"unknown mode {mode!r}")
     details["depth_cap"] = depth_cap
@@ -519,58 +531,15 @@ def perturbation_check(
     root-to-leaf path, and classical queries are answered by the original
     oracle in both trees (the substitution acts inside circuits only).
     """
-    bindings0, classical = _oracle_views(oracle)
-    bindings1, _ = _oracle_views(substitute)
-    controller = controller.clone()
-    cache: dict[int, tuple] = {}
-    leaf0: dict[Transcript, float] = {}
-    leaf1: dict[Transcript, float] = {}
-    epsilon = 0.0
-    depth = 0
-    leaves = 0
-    stack = [(Transcript(), 1.0, 1.0)]
-    while stack:
-        transcript, p0, p1 = stack.pop()
-        if len(transcript) >= step_budget:
-            raise CapacityError(f"a branch exceeded {step_budget} steps")
-        action = controller.step(transcript)
-        if isinstance(action, Output):
-            leaves += 1
-            if leaves > leaf_cap:
-                raise CapacityError(f"more than {leaf_cap} leaves")
-            depth = max(depth, transcript.circuit_depth)
-            leaf0[transcript] = leaf0.get(transcript, 0.0) + p0
-            leaf1[transcript] = leaf1.get(transcript, 0.0) + p1
-            continue
-        if isinstance(action, ClassicalQuery):
-            if classical is None:
-                raise UsageError("controller made a classical query but the oracle has no classical view")
-            edge = ClassicalEdge(int(action.x), classical.evaluate(int(action.x)))
-            stack.append((transcript.with_edge(edge), p0, p1))
-            continue
-        if not isinstance(action, RunCircuit):
-            raise UsageError(f"controller returned {type(action).__name__}, not an action")
-        circuit = _stamped(action.circuit, noise)
-        if len(circuit.steps) > depth_cap:
-            raise CapacityError(
-                f"circuit depth {len(circuit.steps)} exceeds the cap {depth_cap}"
-            )
-        key = circuit_fingerprint(circuit)
-        if key not in cache:
-            d0 = exact_output_distribution(circuit, bindings0)
-            d1 = exact_output_distribution(circuit, bindings1)
-            support = sorted(set(d0.probabilities) | set(d1.probabilities))
-            node_tv = 0.5 * sum(abs(d0.get(o) - d1.get(o)) for o in support)
-            cache[key] = (d0, d1, support, node_tv)
-        d0, d1, support, node_tv = cache[key]
-        epsilon = max(epsilon, node_tv)
-        for outcome in support:
-            edge = _circuit_edge(circuit, outcome)
-            stack.append((transcript.with_edge(edge), p0 * d0.get(outcome), p1 * d1.get(outcome)))
-            if len(stack) + leaves > leaf_cap:
-                raise CapacityError(f"branching exceeded {leaf_cap} paths")
-    keys = set(leaf0) | set(leaf1)
-    leaf_tv = 0.5 * sum(abs(leaf0.get(t, 0.0) - leaf1.get(t, 0.0)) for t in keys)
+    leaves, _, nodes = _enumerate_tree(
+        controller, [oracle, substitute], noise, step_budget, depth_cap, leaf_cap
+    )
+    epsilon = max(
+        (0.5 * sum(abs(d0.get(o) - d1.get(o)) for o in support) for (d0, d1), support in nodes.values()),
+        default=0.0,
+    )
+    depth = max((t.circuit_depth for t in leaves), default=0)
+    leaf_tv = 0.5 * sum(abs(p0 - p1) for p0, p1 in leaves.values())
     bound = epsilon * depth
     return make_report(
         "leaf TV within per-node drift times circuit depth",
@@ -580,6 +549,6 @@ def perturbation_check(
         1e-9,
         epsilon=epsilon,
         depth=depth,
-        leaves=len(keys),
+        leaves=len(leaves),
         depth_cap=depth_cap,
     )

@@ -23,8 +23,8 @@ from .qsim import (
     PureState,
     _as_noise_rate,
     _depolarize_density_tensor,
-    _layer_on_density,
     _resolve_binding,
+    _walk_density,
     haar_unitary,
     partial_trace_tensor,
 )
@@ -93,12 +93,20 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     return 0.5 * trace_norm_diff(a, b)
 
 
+def dict_tv(p: dict, q: dict) -> float:
+    """(1/2) sum_k |p(k) - q(k)| over mappings with missing keys as 0.
+
+    The sum runs over p | q, in dict insertion order, so its last bits do not
+    depend on hash seeds the way a set union's iteration order does.
+    """
+    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in p | q)
+
+
 def tv_distance(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     """(1/2) sum_s |p(s) - q(s)|."""
     if p.n_bits != q.n_bits:
         raise UsageError("distributions have different bit counts")
-    keys = set(p.probabilities) | set(q.probabilities)
-    return 0.5 * sum(abs(p.get(s) - q.get(s)) for s in keys)
+    return dict_tv(p.probabilities, q.probabilities)
 
 
 def _entropy_bits(eigs: np.ndarray) -> float:
@@ -193,16 +201,15 @@ def check_info_decay(circuit: NoisyCircuit, oracle_bindings=None) -> dict:
             binding = _resolve_binding(oracle_bindings, step)
             if not getattr(binding, "is_unitary", True):
                 raise UsageError("info decay requires unitary oracle bindings")
-    rho = DensityMatrix.zero(n).tensor()
     layers = []
     worst_gap = -math.inf
     worst = None
     t = 0
-
-    def record(tensor):
-        nonlocal worst_gap, worst
-        dm = DensityMatrix(n, tensor.reshape(2**n, 2**n), check_psd=False)
-        info = information(dm).value
+    for op, rho in _walk_density(circuit, oracle_bindings):
+        if op is not None:
+            continue
+        t += 1
+        info = information(DensityMatrix(n, rho.reshape(2**n, 2**n), check_psd=False)).value
         bound = (1.0 - lam) ** t * n
         layers.append(
             {"t": t, "information": info, "bound": bound, "holds": info <= bound + CHECK_TOL}
@@ -210,23 +217,6 @@ def check_info_decay(circuit: NoisyCircuit, oracle_bindings=None) -> dict:
         if info - bound > worst_gap:
             worst_gap = info - bound
             worst = (info, bound)
-
-    rho = _depolarize_density_tensor(rho, n, lam)
-    t = 1
-    record(rho)
-    for step in circuit.steps:
-        if isinstance(step, GateLayer):
-            rho = _layer_on_density(rho, step, n)
-        else:
-            binding = _resolve_binding(oracle_bindings, step)
-            rho = binding.apply_density(rho, step.wires, n)
-        rho = _depolarize_density_tensor(rho, n, lam)
-        t += 1
-        record(rho)
-    if not circuit.steps:
-        rho = _depolarize_density_tensor(rho, n, lam)
-        t += 1
-        record(rho)
     holds = all(entry["holds"] for entry in layers)
     return make_report(
         "information decays as (1 - lam)^t * n under noise layers",
@@ -324,26 +314,6 @@ def check_projection_bound(
 # ---------------------------------------------------------------------------
 
 
-def _stepwise_density(circuit: NoisyCircuit, bindings, collect_before_oracle: list) -> DensityMatrix:
-    n = circuit.n_qubits
-    lam = circuit.noise.value
-    rho = DensityMatrix.zero(n).tensor()
-    rho = _depolarize_density_tensor(rho, n, lam)
-    for step in circuit.steps:
-        if isinstance(step, GateLayer):
-            rho = _layer_on_density(rho, step, n)
-        else:
-            collect_before_oracle.append(
-                DensityMatrix(n, rho.reshape(2**n, 2**n).copy(), check_psd=False)
-            )
-            binding = _resolve_binding(bindings, step)
-            rho = binding.apply_density(rho, step.wires, n)
-        rho = _depolarize_density_tensor(rho, n, lam)
-    if not circuit.steps:
-        rho = _depolarize_density_tensor(rho, n, lam)
-    return DensityMatrix(n, rho.reshape(2**n, 2**n), check_psd=False)
-
-
 def _channel_unit(binding, state: DensityMatrix, wires, lam: float) -> np.ndarray:
     n = state.n_qubits
     out = binding.apply_density(state.tensor(), wires, n)
@@ -367,7 +337,7 @@ def check_hybrid_bound(
     the loose form of the hybrid bound (a factor 2 above the TV version).
     T counts the template's calls to `oracle_id`.
     """
-    from .qsim import DENSITY_QUBIT_CAP, OracleCall, exact_output_distribution
+    from .qsim import DENSITY_QUBIT_CAP, OracleCall
 
     n = template.n_qubits
     if n > DENSITY_QUBIT_CAP:
@@ -381,11 +351,18 @@ def check_hybrid_bound(
     t_calls = len(calls)
     lam = template.noise.value
 
+    # one walk per channel: the state before each oracle call is a probe,
+    # the final state gives that channel's output distribution
     probes: list[DensityMatrix] = []
-    p0 = exact_output_distribution(template, {oracle_id: e0})
-    p1 = exact_output_distribution(template, {oracle_id: e1})
-    _stepwise_density(template, {oracle_id: e0}, probes)
-    _stepwise_density(template, {oracle_id: e1}, probes)
+    finals = []
+    for channel in (e0, e1):
+        before = None
+        for op, rho in _walk_density(template, {oracle_id: channel}):
+            if isinstance(op, OracleCall):
+                probes.append(DensityMatrix(n, before.reshape(2**n, 2**n), check_psd=False))
+            before = rho
+        finals.append(DensityMatrix(n, rho.reshape(2**n, 2**n), check_psd=False).outcome_distribution())
+    p0, p1 = finals
     rng = np.random.default_rng([seed, 0x4879])
     for _ in range(trials):
         v = haar_unitary(2**n, rng)[:, 0]

@@ -17,6 +17,7 @@ import numpy as np
 from .bits import extract_field, spread_field
 from .errors import CapacityError, UsageError
 from .qsim import (
+    PAULI_MATRICES,
     DensityMatrix,
     OracleBinding,
     partial_trace_tensor,
@@ -26,13 +27,6 @@ from .seeding import rng_for
 ORACLE_TABLE_CAP = 22  # max input bits for explicit truth tables
 SIMON_TABLE_CAP = 12  # beyond this, the seeded-bijection construction
 SHUFFLING_WIDTH_CAP = 20
-
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
 
 
 class QueryCounter:
@@ -109,27 +103,32 @@ class ClassicalOracle:
         return self._table
 
 
-class XorOracleBinding(OracleBinding):
-    """U_O |x>|y> = |x>|y xor O(x)>: a basis permutation, self-inverse."""
+class PermutationBinding(OracleBinding):
+    """A basis permutation of the oracle's own register, lifted to a circuit.
+
+    Subclasses give `_own_perm()`: register index r -> image index.  On the
+    circuit, basis index idx with register value reg maps to
+    idx ^ spread(reg ^ own[reg]), so the other qubits are untouched.
+    """
 
     is_unitary = True
 
-    def __init__(self, oracle: ClassicalOracle):
+    def __init__(self, oracle, n_wires: int):
         self.oracle = oracle
-        self.n_wires = oracle.n_in + oracle.m_out
+        self.n_wires = n_wires
         self._perms: dict[tuple, np.ndarray] = {}
+
+    def _own_perm(self) -> np.ndarray:
+        raise NotImplementedError
 
     def _perm(self, wires: tuple[int, ...], n_qubits: int) -> np.ndarray:
         key = (wires, n_qubits)
         if key not in self._perms:
             if len(wires) != self.n_wires:
-                raise UsageError(
-                    f"oracle {self.oracle.name} needs {self.n_wires} wires, got {len(wires)}"
-                )
+                raise UsageError(f"oracle needs {self.n_wires} wires, got {len(wires)}")
             idx = np.arange(2**n_qubits, dtype=np.int64)
-            x = extract_field(idx, wires[: self.oracle.n_in], n_qubits)
-            fy = self.oracle.table()[x]
-            self._perms[key] = idx ^ spread_field(fy, wires[self.oracle.n_in :], n_qubits)
+            reg = extract_field(idx, wires, n_qubits)
+            self._perms[key] = idx ^ spread_field(reg ^ self._own_perm()[reg], wires, n_qubits)
         return self._perms[key]
 
     def apply_statevector(self, tensor: np.ndarray, wires, n_qubits: int) -> np.ndarray:
@@ -137,14 +136,25 @@ class XorOracleBinding(OracleBinding):
         batched = tensor.ndim == n_qubits + 1
         self.oracle.query_counter.increment(tensor.shape[0] if batched else 1)
         flat = tensor.reshape(-1, 2**n_qubits) if batched else tensor.reshape(1, -1)
-        out = flat[:, perm]
-        return out.reshape(tensor.shape)
+        return flat[:, perm].reshape(tensor.shape)
 
     def apply_density(self, tensor: np.ndarray, wires, n_qubits: int) -> np.ndarray:
         perm = self._perm(tuple(wires), n_qubits)
         self.oracle.query_counter.increment()
         rho = tensor.reshape(2**n_qubits, 2**n_qubits)
         return rho[perm][:, perm].reshape(tensor.shape)
+
+
+class XorOracleBinding(PermutationBinding):
+    """U_O |x>|y> = |x>|y xor O(x)>: a basis permutation, self-inverse."""
+
+    def __init__(self, oracle: ClassicalOracle):
+        super().__init__(oracle, oracle.n_in + oracle.m_out)
+
+    def _own_perm(self) -> np.ndarray:
+        o = self.oracle
+        r = np.arange(2**self.n_wires, dtype=np.int64)
+        return r ^ o.table()[r >> o.m_out]
 
 
 def lift_to_unitary(oracle: ClassicalOracle) -> XorOracleBinding:
@@ -359,17 +369,13 @@ class StateOracle:
             if len(self.pauli) != self.n or set(self.pauli) - set("IXYZ"):
                 raise UsageError(f"pauli must be an {self.n}-letter IXYZ string")
 
-    @property
-    def pauli_weight(self) -> int:
-        return 0 if self.pauli is None else sum(c != "I" for c in self.pauli)
-
     def density(self) -> np.ndarray:
         dim = 2**self.n
         rho = np.eye(dim, dtype=np.complex128)
         if self.coeff and self.pauli is not None:
             p = np.array([[1.0]], dtype=np.complex128)
             for c in self.pauli:
-                p = np.kron(p, _PAULI_1Q[c])
+                p = np.kron(p, PAULI_MATRICES[c])
             rho = rho + p
         return rho / dim
 
@@ -517,15 +523,11 @@ class ShufflingOracle:
         return int(self.final_table()[x])
 
 
-class ShufflingBinding(OracleBinding):
+class ShufflingBinding(PermutationBinding):
     """|i, x>|y> -> |i, x>|y xor f_i(x)>; tags beyond d act as identity."""
 
-    is_unitary = True
-
     def __init__(self, oracle: ShufflingOracle):
-        self.oracle = oracle
-        self.n_wires = oracle.n_register_qubits
-        self._perm_cache: dict[tuple, np.ndarray] = {}
+        super().__init__(oracle, oracle.n_register_qubits)
 
     def _own_perm(self) -> np.ndarray:
         o = self.oracle
@@ -538,31 +540,6 @@ class ShufflingBinding(OracleBinding):
             stack[i] = lvl
         stack[o.depth] = o.final_table()
         return r ^ stack[tag, x]
-
-    def _perm(self, wires: tuple[int, ...], n_qubits: int) -> np.ndarray:
-        key = (wires, n_qubits)
-        if key not in self._perm_cache:
-            own = self._own_perm()
-            idx = np.arange(2**n_qubits, dtype=np.int64)
-            reg = extract_field(idx, wires, n_qubits)
-            moved = own[reg]
-            self._perm_cache[key] = (
-                idx ^ spread_field(reg ^ moved, wires, n_qubits)
-            )
-        return self._perm_cache[key]
-
-    def apply_statevector(self, tensor: np.ndarray, wires, n_qubits: int) -> np.ndarray:
-        perm = self._perm(tuple(wires), n_qubits)
-        batched = tensor.ndim == n_qubits + 1
-        self.oracle.query_counter.increment(tensor.shape[0] if batched else 1)
-        flat = tensor.reshape(-1, 2**n_qubits) if batched else tensor.reshape(1, -1)
-        return flat[:, perm].reshape(tensor.shape)
-
-    def apply_density(self, tensor: np.ndarray, wires, n_qubits: int) -> np.ndarray:
-        perm = self._perm(tuple(wires), n_qubits)
-        self.oracle.query_counter.increment()
-        rho = tensor.reshape(2**n_qubits, 2**n_qubits)
-        return rho[perm][:, perm].reshape(tensor.shape)
 
 
 def make_shuffling(f: ClassicalOracle, d: int, seed: int = 0) -> ShufflingOracle:

@@ -5,7 +5,8 @@ depolarizing noise D_lam acts on every qubit after initialization and after
 each circuit step.  The layer following the last step doubles as measurement
 noise, so a circuit with T >= 1 steps sees T + 1 noise layers and an empty
 circuit sees 2 (one after init, one before readout).  Measurement is in the
-computational basis.
+computational basis.  `NoisyCircuit.schedule()` is the single statement of
+this placement rule; every backend walks it.
 
 Conventions fixed package-wide:
   - qubit 0 is the most significant bit of outcome strings,
@@ -16,7 +17,9 @@ Conventions fixed package-wide:
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import math
 import struct
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, UsageError
-from .seeding import rng_for, trajectory_rng
+from .seeding import rng_for
 
 DENSITY_QUBIT_CAP = 10
 STATEVECTOR_QUBIT_CAP = 22
@@ -37,7 +40,7 @@ STATE_ATOL = 1e-9
 # state buffer stays ~32 MB. The chunk layout depends only on (n, shots),
 # never on thread count, so results are scheduling-independent.
 _CHUNK_AMPLITUDES = 2**21
-_CHUNK_STREAM_TAG = 0x6368756E  # distinguishes chunk streams from per-trajectory streams
+_CHUNK_STREAM_TAG = 0x6368756E
 
 _I2 = np.eye(2, dtype=np.complex128)
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -217,10 +220,35 @@ class NoisyCircuit:
     def n_steps(self) -> int:
         return len(self.steps)
 
+    def schedule(self) -> tuple["CircuitStep | None", ...]:
+        """The steps in order, None marking a noise layer.
+
+        Noise follows init and every step: (None, s1, None, ..., sT, None).
+        An empty circuit still gets its measurement-noise layer: (None, None).
+        """
+        if not self.steps:
+            return (None, None)
+        return (None,) + tuple(op for step in self.steps for op in (step, None))
+
     def noise_layer_count(self) -> int:
-        # init layer + one per step; an empty circuit still gets a
-        # measurement-noise layer.
-        return 1 + max(len(self.steps), 1)
+        return self.schedule().count(None)
+
+    @functools.cached_property
+    def _fingerprint(self) -> int:
+        # computed once: single-trajectory sampling and the harness look it up per call
+        h = hashlib.sha256()
+        h.update(struct.pack(">qd", self.n_qubits, self.noise.value))
+        for step in self.steps:
+            if isinstance(step, OracleCall):
+                h.update(b"call")
+                h.update(step.oracle_id.encode())
+                h.update(np.array(step.wires, dtype=np.int64).tobytes())
+            else:
+                h.update(b"layer")
+                for g in sorted(step.gates, key=lambda g: g.targets):
+                    h.update(np.array(g.targets, dtype=np.int64).tobytes())
+                    h.update(np.ascontiguousarray(g.matrix).tobytes())
+        return int.from_bytes(h.digest()[:8], "big") >> 4
 
 
 # ---------------------------------------------------------------------------
@@ -461,27 +489,12 @@ def _depolarize_density_tensor(tensor: np.ndarray, n: int, lam: float) -> np.nda
     return tensor
 
 
-def _pauli_noise_on_pure(
-    tensor: np.ndarray, n: int, lam: float, rng: np.random.Generator, axis_offset: int = 0
-) -> np.ndarray:
-    """One trajectory noise layer: per qubit, w.p. 3 lam/4 a uniform Pauli.
+def _pauli_events(lam: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map uniform draws to (hit, choice): hit w.p. 3 lam / 4, uniform X/Y/Z.
 
     This mixture reproduces D_lam exactly: (1-lam) rho + lam I/2 equals
     (1-3 lam/4) rho + (lam/4)(X rho X + Y rho Y + Z rho Z).
     """
-    if lam == 0.0:
-        return tensor
-    hit = rng.random(n) < 0.75 * lam
-    choice = rng.integers(0, 3, size=n)
-    paulis = (_PAULI_X, _PAULI_Y, _PAULI_Z)
-    for q in range(n):
-        if hit[q]:
-            tensor = _apply_unitary_tensor(tensor, paulis[choice[q]], (q + axis_offset,))
-    return tensor
-
-
-def _pauli_events(lam: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map uniform draws to (hit, choice): hit w.p. 3 lam / 4, uniform X/Y/Z."""
     hit = u < 0.75 * lam
     choice = np.minimum((u / (0.25 * lam)).astype(np.int64), 2)
     return hit, choice
@@ -618,6 +631,21 @@ def depolarize_all(rho: DensityMatrix, lam: "NoiseRate | float") -> DensityMatri
     return DensityMatrix(rho.n_qubits, out.reshape(2**rho.n_qubits, 2**rho.n_qubits), check_psd=False)
 
 
+def _walk_density(circuit: NoisyCircuit, oracle_bindings=None):
+    """Yield (op, density tensor after op) for each op of circuit.schedule()."""
+    n = circuit.n_qubits
+    lam = circuit.noise.value
+    rho = DensityMatrix.zero(n).tensor()
+    for op in circuit.schedule():
+        if op is None:
+            rho = _depolarize_density_tensor(rho, n, lam)
+        elif isinstance(op, GateLayer):
+            rho = _layer_on_density(rho, op, n)
+        else:
+            rho = _resolve_binding(oracle_bindings, op).apply_density(rho, op.wires, n)
+        yield op, rho
+
+
 def evolve_density(circuit: NoisyCircuit, oracle_bindings=None) -> DensityMatrix:
     """Exact final pre-measurement state (all noise layers applied)."""
     n = circuit.n_qubits
@@ -625,18 +653,8 @@ def evolve_density(circuit: NoisyCircuit, oracle_bindings=None) -> DensityMatrix
         raise CapacityError(
             f"density backend supports n <= {DENSITY_QUBIT_CAP}, got {n}"
         )
-    lam = circuit.noise.value
-    rho = DensityMatrix.zero(n).tensor()
-    rho = _depolarize_density_tensor(rho, n, lam)
-    for step in circuit.steps:
-        if isinstance(step, GateLayer):
-            rho = _layer_on_density(rho, step, n)
-        else:
-            binding = _resolve_binding(oracle_bindings, step)
-            rho = binding.apply_density(rho, step.wires, n)
-        rho = _depolarize_density_tensor(rho, n, lam)
-    if not circuit.steps:
-        rho = _depolarize_density_tensor(rho, n, lam)
+    for _, rho in _walk_density(circuit, oracle_bindings):
+        pass
     return DensityMatrix(n, rho.reshape(2**n, 2**n), check_psd=False)
 
 
@@ -666,49 +684,6 @@ def evolve_statevector(circuit: NoisyCircuit, oracle_bindings=None) -> PureState
     return PureState(n, tensor.reshape(-1))
 
 
-def _run_trajectory_tensor(
-    circuit: NoisyCircuit, oracle_bindings, rng: np.random.Generator
-) -> np.ndarray:
-    n = circuit.n_qubits
-    lam = circuit.noise.value
-    tensor = np.zeros((2,) * n, dtype=np.complex128)
-    tensor.reshape(-1)[0] = 1.0
-    tensor = _pauli_noise_on_pure(tensor, n, lam, rng)
-    for step in circuit.steps:
-        if isinstance(step, GateLayer):
-            tensor = _layer_on_pure(tensor, step)
-        else:
-            binding = _resolve_binding(oracle_bindings, step)
-            tensor = binding.apply_statevector(tensor, step.wires, n)
-        tensor = _pauli_noise_on_pure(tensor, n, lam, rng)
-    if not circuit.steps:
-        tensor = _pauli_noise_on_pure(tensor, n, lam, rng)
-    return tensor
-
-
-def sample_trajectory(
-    circuit: NoisyCircuit, oracle_bindings=None, seed: int = 0, index: int = 0
-) -> str:
-    """Draw one outcome string; trajectory `index` under master `seed`.
-
-    Distributed exactly as the density-matrix output distribution: at every
-    noise point each qubit independently suffers a uniform Pauli error with
-    probability 3 lam / 4.
-    """
-    n = circuit.n_qubits
-    if n > STATEVECTOR_QUBIT_CAP:
-        raise CapacityError(
-            f"trajectory backend supports n <= {STATEVECTOR_QUBIT_CAP}, got {n}"
-        )
-    rng = trajectory_rng(seed, index)
-    tensor = _run_trajectory_tensor(circuit, oracle_bindings, rng)
-    probs = np.abs(tensor.reshape(-1)) ** 2
-    probs /= probs.sum()  # guard float drift
-    outcome = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    outcome = min(outcome, 2**n - 1)
-    return _bitstring(outcome, n)
-
-
 def circuit_fingerprint(circuit: NoisyCircuit) -> int:
     """Stable 60-bit content hash of (n_qubits, noise, steps).
 
@@ -717,19 +692,16 @@ def circuit_fingerprint(circuit: NoisyCircuit) -> int:
     circuits get independent streams.  Oracle bindings are not part of the
     fingerprint: the circuit references oracles by id only.
     """
-    h = hashlib.sha256()
-    h.update(struct.pack(">qd", circuit.n_qubits, circuit.noise.value))
-    for step in circuit.steps:
-        if isinstance(step, OracleCall):
-            h.update(b"call")
-            h.update(step.oracle_id.encode())
-            h.update(np.array(step.wires, dtype=np.int64).tobytes())
-        else:
-            h.update(b"layer")
-            for g in sorted(step.gates, key=lambda g: g.targets):
-                h.update(np.array(g.targets, dtype=np.int64).tobytes())
-                h.update(np.ascontiguousarray(g.matrix).tobytes())
-    return int.from_bytes(h.digest()[:8], "big") >> 4
+    return circuit._fingerprint
+
+
+def _chunk_rows(n: int) -> int:
+    """Trajectories per sampling chunk; enforces the trajectory backend's cap."""
+    if n > STATEVECTOR_QUBIT_CAP:
+        raise CapacityError(
+            f"trajectory backend supports n <= {STATEVECTOR_QUBIT_CAP}, got {n}"
+        )
+    return max(1, _CHUNK_AMPLITUDES // (2**n))
 
 
 def _sample_chunk(
@@ -738,27 +710,24 @@ def _sample_chunk(
     seed: int,
     stream_key: int,
     chunk_index: int,
-    batch: int,
+    start: int,
+    stop: int,
 ) -> np.ndarray:
-    """Simulate `batch` trajectories at once; returns outcome integers.
+    """Simulate rows [start, stop) of one chunk; returns outcome integers.
 
-    All randomness comes from one flat row-major draw, so trajectory i
-    consumes the same stream values whatever the batch size: any prefix of
-    a chunk is reproducible without simulating the rest.
+    All randomness of a chunk is one flat row-major draw, so a row consumes
+    the same stream values whichever rows are simulated with it: the stream
+    is advanced straight to row `start` (PCG64 spends one step per double).
     """
     n = circuit.n_qubits
     lam = circuit.noise.value
+    schedule = circuit.schedule()
+    batch = stop - start
     rng = rng_for(seed, stream_key, _CHUNK_STREAM_TAG, chunk_index)
-    layers = 1 + max(len(circuit.steps), 1)
-    width = layers * n + 1 if lam > 0.0 else 1
+    width = schedule.count(None) * n + 1 if lam > 0.0 else 1
+    rng.bit_generator.advance(start * width)
     u = rng.random((batch, width))  # column 0 is the measurement draw
     col = 1
-
-    def next_block() -> np.ndarray:
-        nonlocal col
-        block = u[:, col : col + n]
-        col += n
-        return block
 
     # Trajectories start in |0..0> and stay product states until the first
     # entangling step, so gates and noise cost O(batch n) there instead of
@@ -768,44 +737,35 @@ def _sample_chunk(
     prod[:, :, 0] = 1.0
     tensor: np.ndarray | None = None
 
-    def densify() -> np.ndarray:
+    def densify() -> None:
         nonlocal prod, tensor
         t = prod[:, 0, :]
         for q in range(1, n):
             t = (t[:, :, None] * prod[:, q, None, :]).reshape(batch, -1)
         tensor = np.ascontiguousarray(t.reshape((batch,) + (2,) * n))
         prod = None
-        return tensor
 
-    def noise() -> None:
-        nonlocal tensor
-        if lam == 0.0:
-            return
-        block = next_block()
-        if prod is not None:
-            _product_pauli_noise(prod, n, lam, block)
-        else:
-            tensor = _batch_pauli_noise(tensor, n, lam, block)
-
-    noise()
-    for step in circuit.steps:
-        if isinstance(step, GateLayer):
-            if prod is not None and all(len(g.targets) == 1 for g in step.gates):
-                for g in step.gates:
-                    q = g.targets[0]
-                    prod[:, q, :] = prod[:, q, :] @ g.matrix.T
+    for op in schedule:
+        if op is None:
+            if lam == 0.0:
+                continue
+            block = u[:, col : col + n]
+            col += n
+            if prod is not None:
+                _product_pauli_noise(prod, n, lam, block)
             else:
-                if prod is not None:
-                    densify()
-                tensor = _layer_on_pure(tensor, step, axis_offset=1)
+                tensor = _batch_pauli_noise(tensor, n, lam, block)
+        elif prod is not None and isinstance(op, GateLayer) and all(len(g.targets) == 1 for g in op.gates):
+            for g in op.gates:
+                q = g.targets[0]
+                prod[:, q, :] = prod[:, q, :] @ g.matrix.T
         else:
             if prod is not None:
                 densify()
-            binding = _resolve_binding(oracle_bindings, step)
-            tensor = binding.apply_statevector(tensor, step.wires, n)
-        noise()
-    if not circuit.steps:
-        noise()
+            if isinstance(op, GateLayer):
+                tensor = _layer_on_pure(tensor, op, axis_offset=1)
+            else:
+                tensor = _resolve_binding(oracle_bindings, op).apply_statevector(tensor, op.wires, n)
     if prod is not None:
         densify()
     probs = np.abs(tensor.reshape(batch, -1)) ** 2
@@ -828,18 +788,14 @@ def sample_outcomes(
     chunk, so counts depend only on (circuit, seed, shots), not on threads.
     """
     n = circuit.n_qubits
-    if n > STATEVECTOR_QUBIT_CAP:
-        raise CapacityError(
-            f"trajectory backend supports n <= {STATEVECTOR_QUBIT_CAP}, got {n}"
-        )
+    chunk = _chunk_rows(n)
     if shots < 1:
         raise UsageError("shots must be positive")
     stream_key = circuit_fingerprint(circuit)
-    chunk = max(1, _CHUNK_AMPLITUDES // (2**n))
     sizes = [min(chunk, shots - start) for start in range(0, shots, chunk)]
 
     def run(ci: int) -> np.ndarray:
-        return _sample_chunk(circuit, oracle_bindings, seed, stream_key, ci, sizes[ci])
+        return _sample_chunk(circuit, oracle_bindings, seed, stream_key, ci, 0, sizes[ci])
 
     if threads > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -857,28 +813,34 @@ def sample_stream(circuit: NoisyCircuit, oracle_bindings=None, seed: int = 0):
     """Yield trajectory outcome strings one at a time, lazily and forever.
 
     The first M yields are exactly the outcomes sample_outcomes(..., shots=M)
-    aggregates, for every M: chunks materialize with geometrically growing
-    batch sizes, and the flat per-chunk RNG draw makes a chunk prefix
-    independent of the batch size that computed it.
+    aggregates, for every M: each chunk is simulated once, in row ranges of
+    geometrically growing size, from the batch sampler's stream positions.
     """
     n = circuit.n_qubits
-    if n > STATEVECTOR_QUBIT_CAP:
-        raise CapacityError(
-            f"trajectory backend supports n <= {STATEVECTOR_QUBIT_CAP}, got {n}"
-        )
+    chunk = _chunk_rows(n)
     stream_key = circuit_fingerprint(circuit)
-    chunk = max(1, _CHUNK_AMPLITUDES // (2**n))
-    ci = 0
-    while True:
-        vals = np.empty(0, dtype=np.int64)
-        done = 0
-        while done < chunk:
-            if done == len(vals):
-                batch = min(chunk, max(64, 2 * len(vals)))
-                vals = _sample_chunk(circuit, oracle_bindings, seed, stream_key, ci, batch)
-            yield _bitstring(int(vals[done]), n)
-            done += 1
-        ci += 1
+    for ci in itertools.count():
+        start = 0
+        while start < chunk:
+            stop = min(chunk, max(64, 2 * start))
+            for v in _sample_chunk(circuit, oracle_bindings, seed, stream_key, ci, start, stop):
+                yield _bitstring(int(v), n)
+            start = stop
+
+
+def sample_trajectory(
+    circuit: NoisyCircuit, oracle_bindings=None, seed: int = 0, index: int = 0
+) -> str:
+    """Draw one outcome string: the `index`-th outcome of sample_stream(seed).
+
+    Only that trajectory is simulated.  Distributed exactly as the
+    density-matrix output distribution: at every noise point each qubit
+    independently suffers a uniform Pauli error with probability 3 lam / 4.
+    """
+    n = circuit.n_qubits
+    ci, row = divmod(int(index), _chunk_rows(n))
+    vals = _sample_chunk(circuit, oracle_bindings, seed, circuit_fingerprint(circuit), ci, row, row + 1)
+    return _bitstring(int(vals[0]), n)
 
 
 # ---------------------------------------------------------------------------

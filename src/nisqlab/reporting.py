@@ -6,8 +6,6 @@ Every checkable claim produces a dict with the fixed keys
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 
@@ -38,7 +36,3 @@ def make_report(
     if details:
         rep["details"] = _jsonable(details)
     return rep
-
-
-def report_to_json(rep: dict) -> str:
-    return json.dumps(rep, indent=2, sort_keys=True)

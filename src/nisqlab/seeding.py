@@ -2,9 +2,7 @@
 
 All randomness in the package flows from a single master seed. Independent
 streams are derived with numpy's SeedSequence spawning convention: a stream
-for purpose `(seed, *key)` is `default_rng([seed, *key])`. Trajectory k of a
-sampling run uses key `(seed, k)` so any single trajectory can be reproduced
-without generating its predecessors.
+for purpose `(seed, *key)` is `default_rng([seed, *key])`.
 """
 
 from __future__ import annotations
@@ -40,7 +38,3 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for (seed, *key)."""
     return np.random.default_rng([int(seed), *map(int, key)])
 
-
-def trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator for one trajectory, reproducible in isolation."""
-    return rng_for(seed, index)

@@ -139,7 +139,7 @@ def _check_depolarizing_action() -> dict:
 
 @_check("qsim", "noise-layer-count")
 def _check_noise_layer_count() -> dict:
-    """A T-step circuit applies 1 + max(T, 1) noise layers."""
+    """A T-step circuit applies T + 1 noise layers; an empty one applies 2."""
     lam = 0.4
     worst = 0.0
     for steps, layers in (([], 2), ([layer(phase(0, 0.0))] * 3, 4)):
@@ -147,7 +147,7 @@ def _check_noise_layer_count() -> dict:
         want = (1.0 - (1.0 - lam) ** layers) / 2.0
         worst = max(worst, abs(dist.get("1") - want))
     return make_report(
-        "noise layer count is 1 + max(T, 1)",
+        "noise layer count is T + 1, and 2 for an empty circuit",
         worst,
         1e-12,
         worst <= 1e-12,

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from nisqlab import codes
 from nisqlab.bits import arr_to_str, str_to_arr
 from nisqlab.codes import (
     BaseCode,
@@ -23,7 +24,7 @@ from nisqlab.codes import (
     sample_sparse_flips,
     tiny_base_code,
 )
-from nisqlab.errors import CapacityError, UsageError
+from nisqlab.errors import CapacityError, InvariantViolation, UsageError
 from nisqlab.oracles import SimonSpec, make_simon
 
 ALL_7BIT = [format(i, "07b") for i in range(128)]
@@ -120,6 +121,12 @@ class TestMembershipExhaustive:
             )
             assert got is expect, x
         assert counts == {DecodedBit.ZERO: 8, DecodedBit.ONE: 8, DecodedBit.BOTTOM: 112}
+
+    def test_overlapping_error_sets_raise(self, spec1, monkeypatch):
+        # every word within distance d of both cosets: the overlap check fires
+        monkeypatch.setattr(codes, "_coset_distance", lambda word, base, b: 0)
+        with pytest.raises(InvariantViolation, match="overlap"):
+            membership_A("0" * 7, spec1)
 
     def test_single_flip_breaks_exact_membership(self, hamming, spec1):
         for b in (0, 1):

@@ -4,10 +4,15 @@ two-point distinguishing, and the leaf-perturbation bound."""
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nisqlab
 from nisqlab.algorithms import (
     BVRunConfig,
     grover_circuit,
@@ -55,6 +60,7 @@ from nisqlab.qsim import (
     random_layer,
     sample_outcomes,
     sample_stream,
+    sample_trajectory,
 )
 
 
@@ -67,6 +73,12 @@ def run_then_output(circuit, depth=1):
         return Output(t.edges[-1].outcome)
 
     return FunctionController(step)
+
+
+def wide_oracle_circuit():
+    """n = 16, so one sampling chunk is 32 trajectories; BV oracle on all wires."""
+    circ = NoisyCircuit(16, [layer(*[H(i) for i in range(16)]), OracleCall("O", tuple(range(16)))], 0.1)
+    return circ, {"O": lift_to_unitary(make_bv("101100111000101"))}
 
 
 ZERO_1BIT = ClassicalOracle(1, 1, lambda x: 0, "zero1", fn_vec=lambda xs: np.zeros_like(xs))
@@ -106,11 +118,24 @@ class TestRunController:
     def test_stream_prefix_matches_batch_sampler(self):
         circ = NoisyCircuit(3, [layer(H(0), H(1)), OracleCall("O", (0, 1, 2))], 0.2)
         b = {"O": lift_to_unitary(make_bv("10"))}
-        for m in (1, 7, 40):
+        wide, wide_b = wide_oracle_circuit()
+        for circ, b, m in ((circ, b, 1), (circ, b, 7), (circ, b, 40), (wide, wide_b, 100)):
             from collections import Counter
 
             stream = Counter(itertools.islice(sample_stream(circ, b, seed=17), m))
             assert dict(stream) == sample_outcomes(circ, b, seed=17, shots=m)
+
+    def test_single_trajectory_is_stream_outcome(self):
+        # indices 0..99 cross three 32-trajectory chunk boundaries
+        circ, b = wide_oracle_circuit()
+        stream = list(itertools.islice(sample_stream(circ, b, seed=5), 100))
+        assert [sample_trajectory(circ, b, seed=5, index=k) for k in range(100)] == stream
+
+    def test_stream_simulates_each_trajectory_once(self):
+        oracle = make_bv("10")
+        circ = NoisyCircuit(3, [layer(H(0), H(1)), OracleCall("O", (0, 1, 2))], 0.2)
+        list(itertools.islice(sample_stream(circ, {"O": lift_to_unitary(oracle)}, seed=17), 100))
+        assert oracle.query_counter.value == 128  # rows [0, 64) then [64, 128)
 
     def test_query_accounting(self):
         # two oracle calls inside one circuit count as two queries
@@ -357,6 +382,26 @@ class TestPerturbation:
         rep = perturbation_check(FunctionController(step), make_bv("1"), ZERO_1BIT, 0.2)
         assert rep["holds"]
         assert rep["details"]["depth"] == 1
+
+
+    def test_leaf_tv_independent_of_hash_seed(self):
+        # transcripts hash through strings; the leaf TV must not sum in hash order
+        code = (
+            "from nisqlab.harness import FunctionController, Output, RunCircuit, perturbation_check\n"
+            "from nisqlab.oracles import make_bv\n"
+            "from nisqlab.qsim import H, NoisyCircuit, OracleCall, layer\n"
+            "circ = NoisyCircuit(2, [layer(H(0)), OracleCall('O', (0, 1)), layer(H(0))], 0.2)\n"
+            "step = lambda t: RunCircuit(circ) if t.circuit_depth < 2 else Output(t.edges[-1].outcome)\n"
+            "print(repr(perturbation_check(FunctionController(step), make_bv('1'), make_bv('0'), 0.2)['lhs']))\n"
+        )
+        src = str(Path(nisqlab.__file__).resolve().parents[1])
+        outs = []
+        for hash_seed in ("0", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outs.append(run.stdout.strip())
+        assert outs[0] == outs[1]
 
 
 class TestControllerProtocol:
