@@ -45,21 +45,6 @@ EXPERIMENT_NAMES = (
     "subset-separation",
 )
 
-_CONFIG_KEYS = {
-    "experiment",
-    "circuit",
-    "seed",
-    "shots",
-    "lambda",
-    "n",
-    "delta",
-    "trials",
-    "out",
-    "backend",
-    "threads",
-    "only",
-}
-
 _FLOAT_FMT = "%.12g"
 
 
@@ -123,7 +108,8 @@ def _write_svg(path: Path, series, title: str, x_label: str, y_label: str) -> No
     print(f"wrote {path}")
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
+    """Read a config file; its keys are the long flag names, minus --config."""
     try:
         data = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -132,9 +118,17 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
+    flags = {a.option_strings[-1][2:]: a.type for a in parser._actions if a.option_strings}
+    del flags["help"], flags["config"]
+    unknown = sorted(set(data) - set(flags))
     if unknown:
         raise UsageError(f"unknown config parameters: {', '.join(unknown)}")
+    for key, value in data.items():
+        if flags[key] is not None and value is not None:
+            try:
+                data[key] = flags[key](value)
+            except (TypeError, ValueError):
+                raise UsageError(f"config parameter {key} must be {flags[key].__name__}, got {value!r}")
     return data
 
 
@@ -648,8 +642,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _main(argv) -> int:
-    args = _build_parser().parse_args(argv)
-    config = _load_config(args.config) if args.config else {}
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    config = _load_config(args.config, parser) if args.config else {}
     p = _Params(args, config)
     command = args.command
     if command is None:

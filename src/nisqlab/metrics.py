@@ -19,6 +19,7 @@ from .qsim import (
     GateLayer,
     NoiseRate,
     NoisyCircuit,
+    OracleCall,
     OutcomeDistribution,
     PureState,
     _as_noise_rate,
@@ -337,11 +338,7 @@ def check_hybrid_bound(
     the loose form of the hybrid bound (a factor 2 above the TV version).
     T counts the template's calls to `oracle_id`.
     """
-    from .qsim import DENSITY_QUBIT_CAP, OracleCall
-
     n = template.n_qubits
-    if n > DENSITY_QUBIT_CAP:
-        raise CapacityError(f"hybrid check needs the density backend (n <= {DENSITY_QUBIT_CAP})")
     calls = [s for s in template.steps if isinstance(s, OracleCall) and s.oracle_id == oracle_id]
     if not calls:
         raise UsageError(f"template never calls oracle {oracle_id!r}")

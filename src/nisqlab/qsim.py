@@ -402,52 +402,15 @@ class OutcomeDistribution:
 # ---------------------------------------------------------------------------
 
 
-# |ij> -> |ji> on two qubits; conjugates a 4x4 gate when its wire order flips
-_SWAP_2Q = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128
-)
-
-
 def _apply_unitary_tensor(tensor: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Contract u into the given 2-dimensional axes of tensor.
 
-    The 1- and 2-qubit paths combine slices of a flat reshape directly;
-    tensordot's transpose copies dominate runtime for batched trajectory
-    states, so they are avoided on the sizes that actually occur.
+    The target axes are moved to the front, so the contraction is one matmul.
     """
-    k = len(axes)
-    shape = tensor.shape
-    if k == 1:
-        a = axes[0]
-        pre = math.prod(shape[:a])
-        post = math.prod(shape[a + 1 :])
-        v = tensor.reshape(pre, 2, post)
-        out = np.empty_like(v)
-        np.multiply(v[:, 0, :], u[0, 0], out=out[:, 0, :])
-        out[:, 0, :] += u[0, 1] * v[:, 1, :]
-        np.multiply(v[:, 0, :], u[1, 0], out=out[:, 1, :])
-        out[:, 1, :] += u[1, 1] * v[:, 1, :]
-        return out.reshape(shape)
-    if k == 2:
-        a, b = axes
-        if a > b:
-            u = _SWAP_2Q @ u @ _SWAP_2Q
-            a, b = b, a
-        pre = math.prod(shape[:a])
-        mid = math.prod(shape[a + 1 : b])
-        post = math.prod(shape[b + 1 :])
-        v = tensor.reshape(pre, 2, mid, 2, post)
-        out = np.empty_like(v)
-        s = (v[:, 0, :, 0, :], v[:, 0, :, 1, :], v[:, 1, :, 0, :], v[:, 1, :, 1, :])
-        for r in range(4):
-            dst = out[:, r >> 1, :, r & 1, :]
-            np.multiply(s[0], u[r, 0], out=dst)
-            for c in range(1, 4):
-                dst += u[r, c] * s[c]
-        return out.reshape(shape)
-    ut = u.reshape((2,) * (2 * k))
-    out = np.tensordot(ut, tensor, axes=(tuple(range(k, 2 * k)), axes))
-    return np.moveaxis(out, tuple(range(k)), axes)
+    front = tuple(range(len(axes)))
+    moved = np.moveaxis(tensor, axes, front)
+    out = (u @ moved.reshape(len(u), -1)).reshape(moved.shape)
+    return np.moveaxis(out, front, axes)
 
 
 def partial_trace_tensor(tensor: np.ndarray, n: int, keep) -> np.ndarray:
@@ -500,74 +463,27 @@ def _pauli_events(lam: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hit, choice
 
 
-def _batch_pauli_noise(
-    tensor: np.ndarray, n: int, lam: float, u: np.ndarray
-) -> np.ndarray:
-    """Noise layer on a batch; axis 0 is the batch axis.  Mutates in place.
+_Y_PHASES = np.array([[-1j], [1j]])
 
-    `u` holds one uniform draw per (trajectory, qubit): values below
-    3 lam / 4 trigger an error, and the sub-interval picks X, Y or Z
-    uniformly.  Taking pre-drawn randomness keeps each trajectory's
-    stream position independent of the batch size.  Paulis are applied
-    as slice swaps and sign flips on the hit rows only.
+
+def _pauli_noise(qubit_view, n: int, lam: float, u: np.ndarray) -> None:
+    """Noise layer on a batch of trajectories (lam > 0).  Mutates in place.
+
+    `qubit_view(q)` is a writable (batch, pre, 2, post) view of the batch
+    with qubit q on axis 2.  `u` holds one uniform draw per (trajectory,
+    qubit): values below 3 lam / 4 trigger an error, and the sub-interval
+    picks X, Y or Z uniformly.  Taking pre-drawn randomness keeps each
+    trajectory's stream position independent of the batch size.  Paulis
+    are applied as slice swaps and sign flips on the hit rows only.
     """
-    if lam == 0.0:
-        return tensor
-    tensor = np.ascontiguousarray(tensor)
-    batch = tensor.shape[0]
     hit, choice = _pauli_events(lam, u)
+    kind = np.where(hit, choice, 3)
     for q in range(n):
-        hq = hit[:, q]
-        if not hq.any():
-            continue
-        cq = choice[:, q]
-        v = tensor.reshape(batch, 1 << q, 2, 1 << (n - 1 - q))
-        rows = np.nonzero(hq & (cq == 0))[0]  # X: swap the qubit slices
-        if rows.size:
-            tmp = v[rows, :, 0, :].copy()
-            v[rows, :, 0, :] = v[rows, :, 1, :]
-            v[rows, :, 1, :] = tmp
-        rows = np.nonzero(hq & (cq == 1))[0]  # Y: swap with +/- i phases
-        if rows.size:
-            tmp = v[rows, :, 0, :].copy()
-            v[rows, :, 0, :] = -1j * v[rows, :, 1, :]
-            v[rows, :, 1, :] = 1j * tmp
-        rows = np.nonzero(hq & (cq == 2))[0]  # Z: negate the |1> slice
-        if rows.size:
-            v[rows, :, 1, :] *= -1.0
-    return tensor
-
-
-_PAULI_PRODUCT_Y = np.array([-1j, 1j])
-
-
-def _product_pauli_noise(
-    prod: np.ndarray, n: int, lam: float, u: np.ndarray
-) -> np.ndarray:
-    """The same noise layer on a (batch, n, 2) product representation.
-
-    Identical per-qubit Pauli map as _batch_pauli_noise from identical
-    draws, at O(batch n) cost.  Mutates in place.
-    """
-    if lam == 0.0:
-        return prod
-    hit, choice = _pauli_events(lam, u)
-    for q in range(n):
-        hq = hit[:, q]
-        if not hq.any():
-            continue
-        cq = choice[:, q]
-        a = prod[:, q, :]
-        rows = np.nonzero(hq & (cq == 0))[0]  # X
-        if rows.size:
-            a[rows] = a[rows][:, ::-1]
-        rows = np.nonzero(hq & (cq == 1))[0]  # Y
-        if rows.size:
-            a[rows] = a[rows][:, ::-1] * _PAULI_PRODUCT_Y
-        rows = np.nonzero(hq & (cq == 2))[0]  # Z
-        if rows.size:
-            a[rows, 1] *= -1.0
-    return prod
+        v = qubit_view(q)
+        x, y, z = (np.nonzero(kind[:, q] == c)[0] for c in range(3))
+        v[x] = v[x][:, :, ::-1]  # X: swap the qubit slices
+        v[y] = v[y][:, :, ::-1] * _Y_PHASES  # Y: swap with -i, +i phases
+        v[z, :, 1] *= -1.0  # Z: negate the |1> slice
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +550,8 @@ def depolarize_all(rho: DensityMatrix, lam: "NoiseRate | float") -> DensityMatri
 def _walk_density(circuit: NoisyCircuit, oracle_bindings=None):
     """Yield (op, density tensor after op) for each op of circuit.schedule()."""
     n = circuit.n_qubits
+    if n > DENSITY_QUBIT_CAP:
+        raise CapacityError(f"density backend supports n <= {DENSITY_QUBIT_CAP}, got {n}")
     lam = circuit.noise.value
     rho = DensityMatrix.zero(n).tensor()
     for op in circuit.schedule():
@@ -649,10 +567,6 @@ def _walk_density(circuit: NoisyCircuit, oracle_bindings=None):
 def evolve_density(circuit: NoisyCircuit, oracle_bindings=None) -> DensityMatrix:
     """Exact final pre-measurement state (all noise layers applied)."""
     n = circuit.n_qubits
-    if n > DENSITY_QUBIT_CAP:
-        raise CapacityError(
-            f"density backend supports n <= {DENSITY_QUBIT_CAP}, got {n}"
-        )
     for _, rho in _walk_density(circuit, oracle_bindings):
         pass
     return DensityMatrix(n, rho.reshape(2**n, 2**n), check_psd=False)
@@ -752,9 +666,10 @@ def _sample_chunk(
             block = u[:, col : col + n]
             col += n
             if prod is not None:
-                _product_pauli_noise(prod, n, lam, block)
+                _pauli_noise(lambda q: prod[:, q, None, :, None], n, lam, block)
             else:
-                tensor = _batch_pauli_noise(tensor, n, lam, block)
+                tensor = np.ascontiguousarray(tensor)
+                _pauli_noise(lambda q: tensor.reshape(batch, 1 << q, 2, -1), n, lam, block)
         elif prod is not None and isinstance(op, GateLayer) and all(len(g.targets) == 1 for g in op.gates):
             for g in op.gates:
                 q = g.targets[0]
@@ -763,7 +678,9 @@ def _sample_chunk(
             if prod is not None:
                 densify()
             if isinstance(op, GateLayer):
-                tensor = _layer_on_pure(tensor, op, axis_offset=1)
+                # rebinding per gate frees each gate's input; a layer call would hold the layer's input too
+                for g in op.gates:
+                    tensor = _apply_unitary_tensor(tensor, g.matrix, tuple(t + 1 for t in g.targets))
             else:
                 tensor = _resolve_binding(oracle_bindings, op).apply_statevector(tensor, op.wires, n)
     if prod is not None:
@@ -910,31 +827,26 @@ def circuit_to_json(circuit: NoisyCircuit) -> str:
 def circuit_from_json(text: str) -> NoisyCircuit:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"invalid circuit JSON: {exc}") from exc
-    try:
-        n = doc["n_qubits"]
-        lam = doc["lambda"]
-        raw_steps = doc["steps"]
-    except (KeyError, TypeError) as exc:
+        return NoisyCircuit(doc["n_qubits"], tuple(_step_from_json(raw) for raw in doc["steps"]), doc["lambda"])
+    except KeyError as exc:
         raise UsageError(f"circuit JSON missing field: {exc}") from exc
-    steps: list[CircuitStep] = []
-    for raw in raw_steps:
-        kind = raw.get("type")
-        if kind == "layer":
-            gates = []
-            for g in raw["gates"]:
-                targets = tuple(g["targets"])
-                if "name" in g:
-                    name = g["name"]
-                    if name not in _NAMED_GATES:
-                        raise UsageError(f"unknown gate name {name!r}")
-                    gates.append(Gate(_NAMED_GATES[name], targets, name))
-                else:
-                    gates.append(Gate(_matrix_from_json(g["matrix"]), targets))
-            steps.append(GateLayer(tuple(gates)))
-        elif kind == "oracle":
-            steps.append(OracleCall(raw["id"], tuple(raw["wires"])))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise UsageError(f"invalid circuit JSON: {exc}") from exc
+
+
+def _step_from_json(raw: dict) -> CircuitStep:
+    kind = raw.get("type")
+    if kind == "oracle":
+        return OracleCall(raw["id"], tuple(raw["wires"]))
+    if kind != "layer":
+        raise UsageError(f"unknown step type {kind!r}")
+    gates = []
+    for g in raw["gates"]:
+        targets = tuple(g["targets"])
+        if "name" not in g:
+            gates.append(Gate(_matrix_from_json(g["matrix"]), targets))
+        elif g["name"] in _NAMED_GATES:
+            gates.append(Gate(_NAMED_GATES[g["name"]], targets, g["name"]))
         else:
-            raise UsageError(f"unknown step type {kind!r}")
-    return NoisyCircuit(n, tuple(steps), lam)
+            raise UsageError(f"unknown gate name {g['name']!r}")
+    return GateLayer(tuple(gates))

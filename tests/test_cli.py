@@ -118,6 +118,30 @@ def test_simulate_missing_circuit_usage(tmp_path):
     assert cli.main(["simulate", "--circuit", str(tmp_path / "nope.json")]) == 2
 
 
+def assert_usage_exit(argv, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n_qubits": 1, "lambda": 0.1, "steps": [{"type": "layer"}]},
+        {"n_qubits": 1, "lambda": 0.1, "steps": [{"type": "layer", "gates": [{"name": "X"}]}]},
+        {"n_qubits": 1, "lambda": "abc", "steps": []},
+        {"n_qubits": 1, "lambda": 0.1, "steps": [5]},
+        {"n_qubits": 1, "lambda": 0.1, "steps": [{"type": "layer", "gates": [{"matrix": 5, "targets": [0]}]}]},
+    ],
+    ids=["layer-without-gates", "gate-without-targets", "non-numeric-lambda", "non-object-step", "scalar-matrix"],
+)
+def test_simulate_malformed_circuit_usage(tmp_path, capsys, doc):
+    circ = tmp_path / "bad.json"
+    circ.write_text(json.dumps(doc))
+    assert_usage_exit(["simulate", "--circuit", str(circ), "--out", str(tmp_path)], capsys)
+
+
 # ---------------------------------------------------------------------------
 # reproducibility and metadata
 # ---------------------------------------------------------------------------
@@ -352,6 +376,14 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "zalka", "warp": 9}))
     assert cli.main(["--config", str(cfg)]) == 2
+
+
+def test_config_value_of_wrong_type_usage(tmp_path, capsys):
+    circ = tmp_path / "bell.json"
+    circ.write_text(bell_json())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"circuit": str(circ), "backend": "trajectory", "shots": "many", "out": str(tmp_path)}))
+    assert_usage_exit(["--config", str(cfg)], capsys)
 
 
 def test_config_must_be_json_object(tmp_path):

@@ -1,6 +1,7 @@
 """Distances, information functionals, and the decay/averaging checks."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nisqlab import metrics, qsim
-from nisqlab.errors import UsageError
+from nisqlab.errors import CapacityError, UsageError
 from nisqlab.metrics import (
     InformationValue,
     SubsetSelector,
@@ -217,6 +218,12 @@ class TestInfoDecay:
         rep = check_info_decay(qsim.random_circuit(2, 2, 0.2, rng))
         assert {"claim", "lhs", "rhs", "holds", "tolerance"} <= set(rep)
 
+    def test_density_cap_raises_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            check_info_decay(NoisyCircuit(11, (), 0.1))
+        assert time.perf_counter() - start < 1.0
+
 
 class TestSubsystemAveraging:
     def test_pure_product_state_equality(self):
@@ -298,6 +305,11 @@ class TestHybridBound:
         circ = NoisyCircuit(2, (layer(H(0)),), 0.1)
         with pytest.raises(UsageError):
             check_hybrid_bound(_UnitaryBinding(np.eye(2)), _UnitaryBinding(np.eye(2)), circ)
+
+    def test_density_cap(self):
+        circ = NoisyCircuit(11, (OracleCall("O", (0,)),), 0.1)
+        with pytest.raises(CapacityError):
+            check_hybrid_bound(_UnitaryBinding(np.eye(2)), _UnitaryBinding(np.eye(2)), circ, "O")
 
 
 class TestSubsetSeparation:

@@ -1,5 +1,7 @@
 """Core simulator: types, gate layers, noise channel, both backends."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -37,6 +39,19 @@ from conftest import counts_to_probs, tv_dicts
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
+
+
+def embedded(u: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
+    """u on `targets` of n qubits as a 2^n x 2^n matrix: kron(u, I), axes permuted."""
+    rest = [q for q in range(n) if q not in targets]
+    order = list(targets) + rest  # the qubit on each tensor axis of kron(u, I)
+    full = np.kron(u, np.eye(2 ** len(rest))).reshape((2,) * (2 * n))
+    axes = [order.index(q) for q in range(n)]
+    return full.transpose(axes + [n + a for a in axes]).reshape(2**n, 2**n)
+
+
+def random_amplitudes(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class TestTypes:
@@ -136,6 +151,24 @@ class TestApplyGateLayer:
     def test_out_of_range_target(self):
         with pytest.raises(UsageError):
             apply_gate_layer(PureState.zero(1), layer(X(1)))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_placement_matches_kron_reference(self, n, rng):
+        placements = [(a,) for a in range(n)] + list(itertools.permutations(range(n), 2))
+        layers = [layer(Gate(qsim.haar_unitary(2 ** len(t), rng), t)) for t in placements]
+        for lay in layers + [qsim.random_layer(n, rng)]:
+            full = functools.reduce(np.matmul, [embedded(g.matrix, g.targets, n) for g in lay.gates])
+            psi = random_amplitudes(rng, 2**n)
+            psi /= np.linalg.norm(psi)
+            out = apply_gate_layer(PureState(n, psi), lay).amplitudes
+            np.testing.assert_allclose(out, full @ psi, rtol=0, atol=1e-12)
+            a = random_amplitudes(rng, 2**n, 2**n)
+            rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+            out = apply_gate_layer(DensityMatrix(n, rho), lay).entries
+            np.testing.assert_allclose(out, full @ rho @ full.conj().T, rtol=0, atol=1e-12)
+            batch = random_amplitudes(rng, 3, 2**n)
+            out = qsim._layer_on_pure(batch.reshape((3,) + (2,) * n), lay, axis_offset=1)
+            np.testing.assert_allclose(out.reshape(3, -1), batch @ full.T, rtol=0, atol=1e-12)
 
 
 class TestDepolarize:
@@ -273,6 +306,27 @@ class TestTrajectories:
         one = sample_outcomes(circ, seed=9, shots=5000, threads=1)
         two = sample_outcomes(circ, seed=9, shots=5000, threads=4)
         assert one == two
+
+    def test_product_noise_matches_dense_noise(self, rng):
+        # lam = 1 hits 3/4 of the (trajectory, qubit) pairs, a third each with X, Y and Z
+        batch, n = 64, 4
+        prod = random_amplitudes(rng, batch, n, 2)
+        u = rng.random((batch, n))
+        hit, choice = qsim._pauli_events(1.0, u)
+        assert set(choice[hit]) == {0, 1, 2}
+
+        def densify(p):
+            t = p[:, 0, :]
+            for q in range(1, n):
+                t = (t[:, :, None] * p[:, q, None, :]).reshape(batch, -1)
+            return t
+
+        dense = densify(prod)
+        clean = dense.copy()
+        qsim._pauli_noise(lambda q: dense.reshape(batch, 1 << q, 2, -1), n, 1.0, u)
+        qsim._pauli_noise(lambda q: prod[:, q, None, :, None], n, 1.0, u)
+        np.testing.assert_allclose(densify(prod), dense, rtol=1e-14, atol=0)
+        assert not np.allclose(dense, clean)
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
