@@ -26,11 +26,11 @@ from .oracles import (
     make_lifted_simon,
     make_simon,
     lift_to_unitary,
+    pauli_string_matrix,
 )
 from .qsim import (
     CNOT,
     DENSITY_QUBIT_CAP,
-    PAULI_MATRICES,
     STATEVECTOR_QUBIT_CAP,
     DensityMatrix,
     Gate,
@@ -386,7 +386,7 @@ def shadow_distinguish(
     )
     rho0 = depolarize_all(DensityMatrix(n, StateOracle(n, pauli, 0).density(), check_psd=False), noise)
     per_query = trace_norm(rho1.entries - rho0.entries)
-    p_mat = _pauli_matrix(pauli)
+    p_mat = pauli_string_matrix(pauli)
     p1 = 0.5 * (1.0 + float(np.trace(p_mat @ rho1.entries).real))
     p0 = 0.5 * (1.0 + float(np.trace(p_mat @ rho0.entries).real))
     if mode == "exact":
@@ -401,15 +401,6 @@ def shadow_distinguish(
     else:
         raise UsageError(f"unknown mode {mode!r}")
     return DistinguishResult(advantage, per_query, queries, slack)
-
-
-def _pauli_matrix(pauli: str) -> np.ndarray:
-    out = np.array([[1.0]], dtype=np.complex128)
-    for ch in pauli:
-        if ch not in PAULI_MATRICES:
-            raise UsageError(f"bad Pauli letter {ch!r}")
-        out = np.kron(out, PAULI_MATRICES[ch])
-    return out
 
 
 # ---------------------------------------------------------------------------

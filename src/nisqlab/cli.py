@@ -58,7 +58,9 @@ def parse_n_spec(spec: "str | int | list") -> list[int]:
     if isinstance(spec, int):
         return [spec]
     if isinstance(spec, list):
-        return [int(v) for v in spec]
+        if not all(isinstance(v, int) for v in spec):
+            raise UsageError(f"--n list members must be integers, got {spec!r}")
+        return list(spec)
     spec = str(spec).strip()
     try:
         if ".." in spec:
@@ -108,8 +110,21 @@ def _write_svg(path: Path, series, title: str, x_label: str, y_label: str) -> No
     print(f"wrote {path}")
 
 
-def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
-    """Read a config file; its keys are the long flag names, minus --config."""
+def _flags(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """Long flag name -> argparse action, for every flag a config file may set."""
+    return {
+        a.option_strings[-1][2:]: a
+        for a in parser._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+
+
+def _load_config(path: str, flags: dict[str, argparse.Action]) -> dict:
+    """Read a config file; its keys are the long flag names, minus --config.
+
+    A value is converted by its flag's argparse `type`; a flag without one
+    takes only a JSON string.
+    """
     try:
         data = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -118,38 +133,27 @@ def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    flags = {a.option_strings[-1][2:]: a.type for a in parser._actions if a.option_strings}
-    del flags["help"], flags["config"]
     unknown = sorted(set(data) - set(flags))
     if unknown:
         raise UsageError(f"unknown config parameters: {', '.join(unknown)}")
     for key, value in data.items():
-        if flags[key] is not None and value is not None:
-            try:
-                data[key] = flags[key](value)
-            except (TypeError, ValueError):
-                raise UsageError(f"config parameter {key} must be {flags[key].__name__}, got {value!r}")
+        convert = flags[key].type
+        if value is None or (convert is None and isinstance(value, str)):
+            continue
+        if convert is None:
+            raise UsageError(f"config parameter {key} must be a string, got {value!r}")
+        try:
+            data[key] = convert(value)
+        except (TypeError, ValueError, OverflowError):
+            raise UsageError(f"config parameter {key} must be {convert.__name__}, got {value!r}")
     return data
 
 
 class _Params:
     """Effective parameters: CLI flag > config file > caller default."""
 
-    def __init__(self, args: argparse.Namespace, config: dict):
-        self._cli = {
-            "experiment": args.experiment,
-            "circuit": args.circuit,
-            "seed": args.seed,
-            "shots": args.shots,
-            "lambda": args.lam,
-            "n": args.n_spec,
-            "delta": args.delta,
-            "trials": args.trials,
-            "out": args.out,
-            "backend": args.backend,
-            "threads": args.threads,
-            "only": args.only,
-        }
+    def __init__(self, args: argparse.Namespace, flags: dict[str, argparse.Action], config: dict):
+        self._cli = {key: getattr(args, action.dest) for key, action in flags.items()}
         self._config = config
 
     def get(self, key: str, default=None):
@@ -631,7 +635,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="RNG seed (else NISQLAB_SEED, else default)")
     parser.add_argument("--shots", type=int, help="trajectory sample count")
     parser.add_argument("--lambda", dest="lam", type=float, help="depolarizing rate override")
-    parser.add_argument("--n", dest="n_spec", help="qubit counts: 5, 8,16,32, or 1..6")
+    parser.add_argument("--n", dest="n_spec", type=parse_n_spec, help="qubit counts: 5, 8,16,32, or 1..6")
     parser.add_argument("--delta", type=float, help="failure budget for repetition formulas")
     parser.add_argument("--trials", type=int, help="trial/sweep count (experiment-specific)")
     parser.add_argument("--out", help="output directory (default: current directory)")
@@ -644,8 +648,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _main(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _load_config(args.config, parser) if args.config else {}
-    p = _Params(args, config)
+    flags = _flags(parser)
+    config = _load_config(args.config, flags) if args.config else {}
+    p = _Params(args, flags, config)
     command = args.command
     if command is None:
         if args.experiment or config.get("experiment"):

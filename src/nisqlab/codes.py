@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -31,10 +32,6 @@ class DecodedBit(enum.Enum):
     ZERO = 0
     ONE = 1
     BOTTOM = "bottom"
-
-    @classmethod
-    def from_bit(cls, b: int) -> "DecodedBit":
-        return cls.ONE if b else cls.ZERO
 
     @property
     def is_bottom(self) -> bool:
@@ -78,24 +75,15 @@ class BaseCode:
         missing = [arr_to_str(w) for w in coset0 if arr_to_str(w) not in code_c]
         if missing:
             raise UsageError(f"dual words {missing[:3]} are not codewords of C")
-        sep = min(
-            int((w0 != w1).sum()) for w0 in coset0 for w1 in coset1
-        )
+        object.__setattr__(self, "_cosets", (coset0, coset1))
+        sep = int(_coset_distance(coset1, self, 0).min())
         if sep < 2 * self.d + 1:
             raise UsageError(
                 f"coset separation {sep} below 2d+1 = {2 * self.d + 1}"
             )
-        object.__setattr__(self, "_cosets", (coset0, coset1))
-        object.__setattr__(self, "_coset_sets", (
-            {arr_to_str(w) for w in coset0},
-            {arr_to_str(w) for w in coset1},
-        ))
 
     def coset(self, b: int) -> np.ndarray:
         return self._cosets[b]
-
-    def in_coset(self, word: np.ndarray, b: int) -> bool:
-        return arr_to_str(word) in self._coset_sets[b]
 
     @classmethod
     def from_json(cls, text: str) -> "BaseCode":
@@ -149,65 +137,83 @@ class ConcatCodeSpec:
         return self.base.m**self.r
 
 
+def _as_bits(x) -> np.ndarray:
+    if isinstance(x, str):
+        if set(x) - {"0", "1"}:
+            raise UsageError(f"bit strings hold only 0 and 1, got {x!r}")
+        return str_to_arr(x)
+    return np.asarray(x, dtype=np.uint8) % 2
+
+
 def _as_block(x, length: int) -> np.ndarray:
-    arr = str_to_arr(x) if isinstance(x, str) else np.asarray(x, dtype=np.uint8) % 2
+    arr = _as_bits(x)
     if arr.shape != (length,):
         raise UsageError(f"expected a {length}-bit block, got {arr.shape}")
     return arr
 
 
 # ---------------------------------------------------------------------------
-# membership
+# membership and decoding: one level-wise fold
 # ---------------------------------------------------------------------------
 
 
-def _membership_b(arr: np.ndarray, base: BaseCode, r: int) -> DecodedBit:
-    if r == 1:
-        for b in (0, 1):
-            if base.in_coset(arr, b):
-                return DecodedBit.from_bit(b)
-        return DecodedBit.BOTTOM
-    sub = arr.reshape(base.m, -1)
-    word = np.empty(base.m, dtype=np.uint8)
-    for i in range(base.m):
-        dec = _membership_b(sub[i], base, r - 1)
-        if dec.is_bottom:
-            return DecodedBit.BOTTOM
-        word[i] = dec.bit
-    for b in (0, 1):
-        if base.in_coset(word, b):
-            return DecodedBit.from_bit(b)
-    return DecodedBit.BOTTOM
+def _coset_distance(words: np.ndarray, base: BaseCode, b: int) -> np.ndarray:
+    """Distance from each row of `words` to the nearest word of coset b."""
+    return (words[:, None, :] != base.coset(b)).sum(axis=2).min(axis=1)
+
+
+# Each rule names the words it accepts into coset 0 and into coset 1.
+
+
+def _exact(d0, d1, d):
+    return d0 == 0, d1 == 0
+
+
+def _neighbourhood(d0, d1, d):
+    return d0 <= d, d1 <= d
+
+
+def _majority(d0, d1, d):
+    return d0 <= d1, d1 < d0
+
+
+def _fold(arr: np.ndarray, spec: ConcatCodeSpec, classify) -> np.ndarray:
+    """Decode each m^r-bit block of `arr` to one symbol, bottom level first.
+
+    Every level reads the symbols as m-symbol words and maps each word to 0
+    or 1 if `classify` accepts it into that coset only, else to 2
+    (undecoded).  Symbol 2 matches no coset letter, so an undecoded
+    sub-block is one error a level up.  A word accepted by both cosets
+    means the error sets overlap.
+    """
+    base, sym = spec.base, arr
+    for level in range(1, spec.r + 1):
+        words = sym.reshape(-1, base.m)
+        hit0, hit1 = classify(_coset_distance(words, base, 0), _coset_distance(words, base, 1), base.d)
+        both = np.flatnonzero(hit0 & hit1)
+        if both.size:
+            word = "".join(map(str, words[both[0]]))
+            raise InvariantViolation(f"error sets overlap at r={level}: {word}")
+        sym = np.where(hit0 | hit1, hit1, 2)
+    return sym
+
+
+_DECODED = (DecodedBit.ZERO, DecodedBit.ONE, DecodedBit.BOTTOM)
 
 
 def membership_B(x, spec: ConcatCodeSpec) -> DecodedBit:
     """Exact codeword membership: b if x encodes b with zero errors."""
-    return _membership_b(_as_block(x, spec.block_length), spec.base, spec.r)
-
-
-def _coset_distance(word: np.ndarray, base: BaseCode, b: int) -> int:
-    return int((word[None, :] != base.coset(b)).sum(axis=1).min())
-
-
-def _membership_a(arr: np.ndarray, base: BaseCode, r: int) -> DecodedBit:
-    if r == 1:
-        decoded = arr
-    else:
-        sub = arr.reshape(base.m, -1)
-        decoded = np.full(base.m, 2, dtype=np.uint8)  # 2 marks a failed sub-block
-        for i in range(base.m):
-            dec = _membership_a(sub[i], base, r - 1)
-            if not dec.is_bottom:
-                decoded[i] = dec.bit
-    hits = [b for b in (0, 1) if _coset_distance(decoded, base, b) <= base.d]
-    if len(hits) > 1:
-        raise InvariantViolation(f"error sets overlap at r={r}: {arr_to_str(arr)}")
-    return DecodedBit.from_bit(hits[0]) if hits else DecodedBit.BOTTOM
+    return _DECODED[_fold(_as_block(x, spec.block_length), spec, _exact)[0]]
 
 
 def membership_A(x, spec: ConcatCodeSpec) -> DecodedBit:
     """Error-neighborhood membership: up to d bad sub-blocks per level."""
-    return _membership_a(_as_block(x, spec.block_length), spec.base, spec.r)
+    return _DECODED[_fold(_as_block(x, spec.block_length), spec, _neighbourhood)[0]]
+
+
+def recursive_majority_decode(x, spec: ConcatCodeSpec) -> int:
+    """Nearest-coset decoding at every level; total (ties go to 0)."""
+    return int(_fold(_as_block(x, spec.block_length), spec, _majority)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -215,30 +221,24 @@ def membership_A(x, spec: ConcatCodeSpec) -> DecodedBit:
 # ---------------------------------------------------------------------------
 
 
-def encode_bit(spec: ConcatCodeSpec, b: int, index: int = 0) -> np.ndarray:
-    """A canonical codeword of B^(r)_b (coset word `index` at every level)."""
-    base = spec.base
+def _build(spec: ConcatCodeSpec, b: int, pick) -> np.ndarray:
+    """A codeword of B^(r)_b, depth first; `pick(coset)` chooses each word."""
 
     def build(bit: int, r: int) -> np.ndarray:
-        word = base.coset(bit)[index % len(base.coset(bit))]
-        if r == 1:
-            return word.copy()
-        return np.concatenate([build(int(w), r - 1) for w in word])
+        word = pick(spec.base.coset(bit))
+        return word.copy() if r == 1 else np.concatenate([build(int(w), r - 1) for w in word])
 
     return build(int(b), spec.r)
+
+
+def encode_bit(spec: ConcatCodeSpec, b: int, index: int = 0) -> np.ndarray:
+    """A canonical codeword of B^(r)_b (coset word `index` at every level)."""
+    return _build(spec, b, lambda coset: coset[index % len(coset)])
 
 
 def sample_codeword(spec: ConcatCodeSpec, b: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly random element of B^(r)_b."""
-    base = spec.base
-
-    def build(bit: int, r: int) -> np.ndarray:
-        word = base.coset(bit)[rng.integers(0, len(base.coset(bit)))]
-        if r == 1:
-            return word.copy()
-        return np.concatenate([build(int(w), r - 1) for w in word])
-
-    return build(int(b), spec.r)
+    return _build(spec, b, lambda coset: coset[rng.integers(0, len(coset))])
 
 
 def sample_sparse_flips(spec: ConcatCodeSpec, rng: np.random.Generator, r: int | None = None) -> np.ndarray:
@@ -264,7 +264,7 @@ def sample_sparse_flips(spec: ConcatCodeSpec, rng: np.random.Generator, r: int |
 
 
 # ---------------------------------------------------------------------------
-# robust function evaluation and majority decoding
+# robust function evaluation
 # ---------------------------------------------------------------------------
 
 
@@ -282,42 +282,16 @@ def robust_simon_eval(x, spec: ConcatCodeSpec, simon: SimonSpec) -> str:
     """
     block = spec.block_length
     n_prime = simon.n
-    arr = str_to_arr(x) if isinstance(x, str) else np.asarray(x, dtype=np.uint8) % 2
+    arr = _as_bits(x)
     if arr.size < block * n_prime:
         raise UsageError(
             f"need at least {block * n_prime} bits, got {arr.size}"
         )
-    bits = []
-    for j in range(n_prime):
-        dec = _membership_a(arr[j * block : (j + 1) * block], spec.base, spec.r)
-        if dec.is_bottom:
-            return "0" * (block * n_prime)
-        bits.append(dec.bit)
-    z = int("".join(map(str, bits)), 2)
-    fz = int(_simon_table(simon)[z])
-    out = np.zeros(block * n_prime, dtype=np.uint8)
-    for j in range(n_prime):
-        if (fz >> (n_prime - 1 - j)) & 1:
-            out[j * block : (j + 1) * block] = 1
-    return arr_to_str(out)
-
-
-def _nearest_coset_bit(word: np.ndarray, base: BaseCode) -> int:
-    return 0 if _coset_distance(word, base, 0) <= _coset_distance(word, base, 1) else 1
-
-
-def recursive_majority_decode(x, spec: ConcatCodeSpec) -> int:
-    """Nearest-coset decoding at every level; total (ties go to 0)."""
-    base = spec.base
-
-    def decode(arr: np.ndarray, r: int) -> int:
-        if r == 1:
-            return _nearest_coset_bit(arr, base)
-        sub = arr.reshape(base.m, -1)
-        word = np.array([decode(sub[i], r - 1) for i in range(base.m)], dtype=np.uint8)
-        return _nearest_coset_bit(word, base)
-
-    return decode(_as_block(x, spec.block_length), spec.r)
+    sym = _fold(arr[: block * n_prime], spec, _neighbourhood)
+    if (sym == 2).any():
+        return "0" * (block * n_prime)
+    fz = int(_simon_table(simon)[int(arr_to_str(sym), 2)])
+    return arr_to_str(np.repeat((fz >> np.arange(n_prime)[::-1]) & 1, block))
 
 
 def enumerate_codewords(spec: ConcatCodeSpec, b: int, r: int | None = None) -> list[np.ndarray]:
@@ -330,20 +304,11 @@ def enumerate_codewords(spec: ConcatCodeSpec, b: int, r: int | None = None) -> l
     def build(bit: int, level: int) -> list[np.ndarray]:
         if level == 1:
             return [w.copy() for w in base.coset(bit)]
-        out = []
-        for word in base.coset(bit):
-            parts = [build(int(w), level - 1) for w in word]
-            idx = [0] * base.m
-            while True:
-                out.append(np.concatenate([parts[i][idx[i]] for i in range(base.m)]))
-                for i in reversed(range(base.m)):
-                    idx[i] += 1
-                    if idx[i] < len(parts[i]):
-                        break
-                    idx[i] = 0
-                else:
-                    break
-        return out
+        return [
+            np.concatenate(parts)
+            for word in base.coset(bit)
+            for parts in itertools.product(*[build(int(w), level - 1) for w in word])
+        ]
 
     return build(int(b), r)
 

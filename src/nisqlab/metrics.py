@@ -28,6 +28,7 @@ from .qsim import (
     _walk_density,
     haar_unitary,
     partial_trace_tensor,
+    replace_register,
 )
 from .reporting import make_report
 
@@ -159,28 +160,11 @@ def restrict_and_decohere(sigma: DensityMatrix, sel: SubsetSelector) -> DensityM
     n = sigma.n_qubits
     if sel.n_qubits != n:
         raise UsageError("selector sized for a different register")
-    keep = sorted(sel.subset)
-    drop = sorted(sel.complement)
+    drop = tuple(sorted(sel.complement))
     if not drop:
         return sigma
-    m = len(drop)
-    eye_c = (np.eye(2**m, dtype=np.complex128) / 2**m).reshape((2,) * (2 * m))
-    if not keep:
-        full = eye_c
-        sources = list(range(2 * m))
-        dests = drop + [n + q for q in drop]
-    else:
-        k = len(keep)
-        sig_s = reduced_state(sigma, sel).tensor()
-        full = np.multiply.outer(sig_s, eye_c)
-        sources = list(range(2 * k + 2 * m))
-        dests = (
-            keep
-            + [n + q for q in keep]
-            + drop
-            + [n + q for q in drop]
-        )
-    full = np.moveaxis(full, sources, dests)
+    eye = np.eye(2 ** len(drop), dtype=np.complex128) / 2 ** len(drop)
+    full = replace_register(sigma.tensor(), n, drop, eye)
     return DensityMatrix(n, full.reshape(2**n, 2**n), check_psd=False)
 
 

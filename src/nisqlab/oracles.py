@@ -20,7 +20,7 @@ from .qsim import (
     PAULI_MATRICES,
     DensityMatrix,
     OracleBinding,
-    partial_trace_tensor,
+    replace_register,
 )
 from .seeding import rng_for
 
@@ -373,34 +373,18 @@ class StateOracle:
         dim = 2**self.n
         rho = np.eye(dim, dtype=np.complex128)
         if self.coeff and self.pauli is not None:
-            p = np.array([[1.0]], dtype=np.complex128)
-            for c in self.pauli:
-                p = np.kron(p, PAULI_MATRICES[c])
-            rho = rho + p
+            rho = rho + pauli_string_matrix(self.pauli)
         return rho / dim
 
 
-def _replace_register(
-    tensor: np.ndarray, n: int, positions: tuple[int, ...], rho: np.ndarray
-) -> np.ndarray:
-    """Trace out `positions` and tensor rho back in at those positions."""
-    m = len(positions)
-    keep = sorted(set(range(n)) - set(positions))
-    rho_t = rho.reshape((2,) * (2 * m))
-    if keep:
-        marg = partial_trace_tensor(tensor, n, keep)
-        full = np.multiply.outer(rho_t, marg)
-        dests = (
-            list(positions)
-            + [n + p for p in positions]
-            + keep
-            + [n + q for q in keep]
-        )
-    else:
-        full = rho_t
-        dests = list(positions) + [n + p for p in positions]
-    full = np.moveaxis(full, list(range(len(dests))), dests)
-    return full.reshape((2,) * (2 * n))
+def pauli_string_matrix(pauli: str) -> np.ndarray:
+    """The Kronecker product of the one-qubit Paulis an IXYZ string names."""
+    out = np.array([[1.0]], dtype=np.complex128)
+    for ch in pauli:
+        if ch not in PAULI_MATRICES:
+            raise UsageError(f"bad Pauli letter {ch!r}")
+        out = np.kron(out, PAULI_MATRICES[ch])
+    return out
 
 
 def apply_state_oracle(sigma: DensityMatrix, so: StateOracle, state_register) -> DensityMatrix:
@@ -416,7 +400,7 @@ def apply_state_oracle(sigma: DensityMatrix, so: StateOracle, state_register) ->
     if positions and not (0 <= positions[0] and positions[-1] < sigma.n_qubits):
         raise UsageError("state register outside the register range")
     so.query_counter.increment()
-    out = _replace_register(sigma.tensor(), sigma.n_qubits, positions, so.density())
+    out = replace_register(sigma.tensor(), sigma.n_qubits, positions, so.density())
     n = sigma.n_qubits
     return DensityMatrix(n, out.reshape(2**n, 2**n), check_psd=False)
 
@@ -435,7 +419,7 @@ class StateOracleBinding(OracleBinding):
 
     def apply_density(self, tensor: np.ndarray, wires, n_qubits: int) -> np.ndarray:
         self.oracle.query_counter.increment()
-        return _replace_register(tensor, n_qubits, tuple(wires), self.oracle.density())
+        return replace_register(tensor, n_qubits, tuple(wires), self.oracle.density())
 
 
 # ---------------------------------------------------------------------------

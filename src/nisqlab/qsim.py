@@ -423,6 +423,19 @@ def partial_trace_tensor(tensor: np.ndarray, n: int, keep) -> np.ndarray:
     return tensor
 
 
+def replace_register(
+    tensor: np.ndarray, n: int, positions: tuple[int, ...], rho: np.ndarray
+) -> np.ndarray:
+    """Trace out `positions` and tensor rho back in at those positions."""
+    keep = sorted(set(range(n)) - set(positions))
+    full = rho.reshape((2,) * (2 * len(positions)))
+    if keep:
+        full = np.multiply.outer(full, partial_trace_tensor(tensor, n, keep))
+    dests = list(positions) + [n + p for p in positions] + keep + [n + q for q in keep]
+    full = np.moveaxis(full, list(range(len(dests))), dests)
+    return full.reshape((2,) * (2 * n))
+
+
 def _layer_on_pure(tensor: np.ndarray, lay: GateLayer, axis_offset: int = 0) -> np.ndarray:
     for g in lay.gates:
         tensor = _apply_unitary_tensor(
@@ -830,7 +843,7 @@ def circuit_from_json(text: str) -> NoisyCircuit:
         return NoisyCircuit(doc["n_qubits"], tuple(_step_from_json(raw) for raw in doc["steps"]), doc["lambda"])
     except KeyError as exc:
         raise UsageError(f"circuit JSON missing field: {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"invalid circuit JSON: {exc}") from exc
 
 

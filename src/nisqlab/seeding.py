@@ -11,6 +11,8 @@ import os
 
 import numpy as np
 
+from .errors import UsageError
+
 ENV_SEED_VAR = "NISQLAB_SEED"
 DEFAULT_SEED = 7
 
@@ -21,17 +23,15 @@ def resolve_seed(seed: int | None) -> int:
     Priority: explicit argument, then the NISQLAB_SEED environment
     variable, then the package default.
     """
-    if seed is not None:
-        return int(seed)
-    env = os.environ.get(ENV_SEED_VAR)
-    if env is not None:
+    if seed is None:
+        env = os.environ.get(ENV_SEED_VAR)
         try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(
-                f"{ENV_SEED_VAR} must be an integer, got {env!r}"
-            ) from exc
-    return DEFAULT_SEED
+            seed = DEFAULT_SEED if env is None else int(env)
+        except ValueError:
+            raise UsageError(f"{ENV_SEED_VAR} must be an integer, got {env!r}") from None
+    if int(seed) < 0:
+        raise UsageError(f"seed must be nonnegative, got {seed}")
+    return int(seed)
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:

@@ -1,9 +1,17 @@
 """Command-line behavior: simulate outputs, experiment runs, verify,
 config precedence, reproducible CSVs, and exit codes."""
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nisqlab import cli
 from nisqlab.errors import UsageError
@@ -133,8 +141,16 @@ def assert_usage_exit(argv, capsys):
         {"n_qubits": 1, "lambda": "abc", "steps": []},
         {"n_qubits": 1, "lambda": 0.1, "steps": [5]},
         {"n_qubits": 1, "lambda": 0.1, "steps": [{"type": "layer", "gates": [{"matrix": 5, "targets": [0]}]}]},
+        {"n_qubits": 1, "lambda": 0.1, "steps": [{"type": "layer", "gates": [{"name": "H", "targets": [float("inf")]}]}]},
     ],
-    ids=["layer-without-gates", "gate-without-targets", "non-numeric-lambda", "non-object-step", "scalar-matrix"],
+    ids=[
+        "layer-without-gates",
+        "gate-without-targets",
+        "non-numeric-lambda",
+        "non-object-step",
+        "scalar-matrix",
+        "infinite-target",
+    ],
 )
 def test_simulate_malformed_circuit_usage(tmp_path, capsys, doc):
     circ = tmp_path / "bad.json"
@@ -378,12 +394,24 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert cli.main(["--config", str(cfg)]) == 2
 
 
-def test_config_value_of_wrong_type_usage(tmp_path, capsys):
-    circ = tmp_path / "bell.json"
-    circ.write_text(bell_json())
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"circuit": str(circ), "backend": "trajectory", "shots": "many", "out": str(tmp_path)}))
-    assert_usage_exit(["--config", str(cfg)], capsys)
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"circuit": "bell.json", "backend": "trajectory", "shots": "many"},
+        {"experiment": "shadow-decay", "n": [1, "a"]},
+        {"experiment": "shadow-decay", "n": [1, 2.7]},
+        {"circuit": 5},
+        {"experiment": "shadow-decay", "out": 7},
+        {"experiment": "shadow-decay", "seed": -1},
+        {"experiment": "shadow-decay", "seed": float("inf")},
+    ],
+    ids=["shots-string", "n-list-string", "n-list-float", "circuit-number", "out-number", "negative-seed", "infinite-seed"],
+)
+def test_config_value_of_wrong_type_usage(tmp_path, capsys, monkeypatch, doc):
+    monkeypatch.chdir(tmp_path)
+    Path("bell.json").write_text(bell_json())
+    Path("cfg.json").write_text(json.dumps(doc))
+    assert_usage_exit(["--config", "cfg.json"], capsys)
 
 
 def test_config_must_be_json_object(tmp_path):
@@ -427,7 +455,7 @@ def test_parse_n_spec_forms():
     assert cli.parse_n_spec("1..6") == [1, 2, 3, 4, 5, 6]
     assert cli.parse_n_spec(7) == [7]
     assert cli.parse_n_spec([2, 3]) == [2, 3]
-    for bad in ("abc", "6..2", "1..x", ""):
+    for bad in ("abc", "6..2", "1..x", "", [1, "a"]):
         with pytest.raises(UsageError):
             cli.parse_n_spec(bad)
 
@@ -439,3 +467,111 @@ def test_single_n_rejects_sweeps(tmp_path):
         )
         == 2
     )
+
+
+# ---------------------------------------------------------------------------
+# fuzzed input boundary
+# ---------------------------------------------------------------------------
+
+JUNK = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 4)
+    | st.sampled_from([0.5, -1.0, 2.7, float("nan"), float("inf")])
+    | st.text("ab01.,H", max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("ab", max_size=2), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+def slots(node) -> list:
+    """Every (container, key) pair inside a JSON document."""
+    keys = list(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    return [slot for key in keys for slot in [(node, key), *slots(node[key])]]
+
+
+@st.composite
+def damaged(draw, valid, fewest: int):
+    """A valid document with `fewest` to three fields, top-level ones half
+    the time, dropped or replaced by junk; or, rarely, junk instead of it."""
+    doc = copy.deepcopy(draw(valid))  # a drawn value may be shared with later draws
+    if draw(st.integers(0, 19)) == 0:
+        return draw(JUNK)
+    for _ in range(draw(st.integers(fewest, 3))):
+        spots = slots(doc)
+        if not spots:
+            break
+        parent, key = draw(st.sampled_from([(doc, k) for k in doc]) | st.sampled_from(spots))
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(JUNK)
+    return doc
+
+
+@st.composite
+def circuit_doc(draw):
+    n = draw(st.integers(1, 3))
+
+    def gate() -> dict:
+        name = draw(st.sampled_from(["H", "X", "CNOT", "matrix"] if n > 1 else ["H", "X", "matrix"]))
+        targets = draw(st.permutations(range(n)))[: 2 if name == "CNOT" else 1]
+        if name == "matrix":
+            return {"matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], "targets": targets}
+        return {"name": name, "targets": targets}
+
+    steps = [{"type": "layer", "gates": [gate()]} for _ in range(draw(st.integers(0, 2)))]
+    return {"n_qubits": n, "lambda": draw(st.floats(0, 1)), "steps": steps}
+
+
+# a valid config whose every value, and every default it falls back on, is cheap
+CONFIG_DOC = st.fixed_dictionaries(
+    {
+        "circuit": st.just("bell.json"),
+        "seed": st.integers(0, 9),
+        "shots": st.integers(1, 20),
+        "lambda": st.floats(0, 0.5),
+        "n": st.sampled_from(["2", "1..2", [2]]),
+        "trials": st.integers(1, 2),
+        "out": st.just("out"),
+        "threads": st.integers(1, 2),
+    },
+    optional={
+        "experiment": st.sampled_from(["shadow-decay", "zalka", "info-decay"]),
+        "delta": st.floats(0.01, 0.5),
+        "backend": st.sampled_from(["exact", "trajectory"]),
+        "only": st.just("codes"),
+    },
+)
+
+
+def run_in(directory: Path, files: dict, argv: list[str]) -> None:
+    """Write `files` (name -> JSON document) under `directory` and run the
+    CLI there; it must exit 0, 2 or 3 and print no traceback."""
+    for name, doc in files.items():
+        (directory / name).write_text(json.dumps(doc))
+    cwd, err = os.getcwd(), io.StringIO()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3) and "Traceback" not in err.getvalue(), (code, err.getvalue())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=damaged(circuit_doc(), fewest=0), trajectory=st.booleans())
+def test_fuzzed_circuit_documents_exit_cleanly(doc, trajectory):
+    backend = ["--backend", "trajectory"] if trajectory else []
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["simulate", "--circuit", "c.json", "--out", "out", "--shots", "20", "--threads", "1", *backend]
+        run_in(Path(tmp), {"c.json": doc}, argv)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=damaged(CONFIG_DOC, fewest=1))
+def test_fuzzed_config_documents_exit_cleanly(doc):
+    files = {"cfg.json": doc, "bell.json": json.loads(bell_json(0.1))}
+    with tempfile.TemporaryDirectory() as tmp:
+        run_in(Path(tmp), files, ["--config", "cfg.json"])

@@ -1,5 +1,6 @@
 """Recursive code membership, decoding, and robust oracle evaluation."""
 
+import functools
 import json
 import math
 
@@ -184,6 +185,73 @@ class TestBottomBase:
             assert recursive_majority_decode(x, spec) == (0 if w <= 2 else 1)
 
 
+def reference_decoder(base: BaseCode, rule: str):
+    """Per-sub-block recursion for rule "A", "B" or "majority", written
+    without the codes module's decoder: decode(bits, r) is 0, 1 or 2
+    (undecoded), and an undecoded sub-block is a letter 2 one level up."""
+    cosets = [[tuple(int(v) for v in w) for w in base.coset(b)] for b in (0, 1)]
+    radius = {"A": base.d, "B": 0}.get(rule)
+
+    @functools.lru_cache(maxsize=None)
+    def decode(bits: tuple, r: int) -> int:
+        if r > 1:
+            k = len(bits) // base.m
+            bits = tuple(decode(bits[i * k : (i + 1) * k], r - 1) for i in range(base.m))
+        d0, d1 = (min(sum(a != c for a, c in zip(bits, w)) for w in coset) for coset in cosets)
+        if radius is None:
+            return 0 if d0 <= d1 else 1
+        assert not (d0 <= radius and d1 <= radius)
+        return 0 if d0 <= radius else 1 if d1 <= radius else 2
+
+    return decode
+
+
+def public_decode(x, spec: ConcatCodeSpec) -> tuple:
+    """(A, B, majority) from the public decoders, with 2 for bottom."""
+    a, b = membership_A(x, spec), membership_B(x, spec)
+    return (2 if a.is_bottom else a.bit, 2 if b.is_bottom else b.bit, recursive_majority_decode(x, spec))
+
+
+class TestFoldAgainstRecursion:
+    """The fold against a recursion, mostly on bases whose error
+    neighborhoods leave gaps, so that bottom occurs and propagates."""
+
+    RULES = (("A", codes._neighbourhood), ("B", codes._exact), ("majority", codes._majority))
+
+    def test_weight4_r2_every_word(self):
+        spec = ConcatCodeSpec(weight4_base(), 2)
+        words = ((np.arange(2**16)[:, None] >> np.arange(16)[::-1]) & 1).astype(np.uint8)
+        for rule, classify in self.RULES:
+            ref = reference_decoder(spec.base, rule)
+            got = codes._fold(words.reshape(-1), spec, classify)
+            expect = [ref(tuple(w), 2) for w in words.tolist()]
+            assert got.tolist() == expect, rule
+            assert rule == "majority" or 2 in expect
+        refs = [reference_decoder(spec.base, rule) for rule, _ in self.RULES]
+        for w in words[:: 2**16 // 512]:
+            assert public_decode(w, spec) == tuple(ref(tuple(w.tolist()), 2) for ref in refs)
+
+    @pytest.mark.parametrize(
+        "base", [weight4_base(), tiny_base_code(), hamming_base_code()], ids=["weight4", "tiny", "hamming"]
+    )
+    def test_random_words_and_flipped_codewords(self, base, rng):
+        refs = [reference_decoder(base, rule) for rule, _ in self.RULES]
+        seen = set()
+        for r in (2, 3):
+            spec = ConcatCodeSpec(base, r)
+            for j in range(300):
+                if j % 3 == 0:
+                    x = rng.integers(0, 2, size=spec.block_length).astype(np.uint8)
+                else:
+                    x = (sample_codeword(spec, j % 2, rng) + sample_sparse_flips(spec, rng)) % 2
+                    if j % 3 == 2:
+                        x[rng.integers(0, x.size, size=3)] ^= 1
+                got = public_decode(x, spec)
+                assert got == tuple(ref(tuple(x.tolist()), r) for ref in refs)
+                seen.update(got)
+        assert seen == {0, 1, 2}
+
+
 class TestRecursiveSampled:
     """49-bit blocks, level 2, randomized."""
 
@@ -322,3 +390,11 @@ class TestCodewordStates:
         words = {arr_to_str(w) for w in enumerate_codewords(spec, 1)}
         for _ in range(20):
             assert arr_to_str(sample_codeword(spec, 1, rng)) in words
+
+
+def test_non_binary_strings_rejected(spec1):
+    for decode in (membership_A, membership_B, recursive_majority_decode):
+        with pytest.raises(UsageError, match="only 0 and 1"):
+            decode("1111112", spec1)
+    with pytest.raises(UsageError, match="only 0 and 1"):
+        robust_simon_eval("0" * 13 + "a", spec1, SimonSpec(2, "11", seed=3))
