@@ -232,7 +232,7 @@ def grover_circuit(n: int, iterations: int, noise, oracle_id: str = "G") -> Nois
 
 def grover_ideal_success(n_search: int, iterations: int) -> float:
     """Noiseless closed form sin^2((2T+1) arcsin(1/sqrt(N)))."""
-    return math.sin((2 * iterations + 1) * math.asin(n_search**-0.5)) ** 2
+    return math.sin((2 * iterations + 1) * math.asin(1.0 / math.sqrt(n_search))) ** 2
 
 
 def run_noisy_grover(
@@ -420,13 +420,20 @@ def lifted_simon_template(n: int, queries: int, noise) -> NoisyCircuit:
     return NoisyCircuit(3 * n, steps, noise)
 
 
+def lifted_simon_bindings(n: int, s: str, seed: int) -> tuple[dict, dict]:
+    """{"F": ...} bindings of the lifted Simon function of period `s` and of
+    the constant 0^n function, for `lifted_simon_template`."""
+    lifted = make_lifted_simon(make_simon(SimonSpec(n, s, seed)))
+    zero = ClassicalOracle(2 * n, n, lambda x: 0, "zero", fn_vec=lambda xs: np.zeros_like(xs))
+    return {"F": lift_to_unitary(lifted)}, {"F": lift_to_unitary(zero)}
+
+
 def lifted_simon_tv(
     n: int,
     noise,
     queries: int = 1,
     s: str | None = None,
     seed: int | None = None,
-    template: NoisyCircuit | None = None,
 ) -> dict:
     """Exact TV between template outputs under the lifted function vs the
     identity oracle, against the damping bound 4 N exp(-lambda n / 4)."""
@@ -435,14 +442,10 @@ def lifted_simon_tv(
         raise CapacityError(
             f"lifted template needs 3n <= {DENSITY_QUBIT_CAP} qubits, got {3 * n}"
         )
-    if template is None:
-        template = lifted_simon_template(n, queries, noise)
-    lifted = make_lifted_simon(make_simon(SimonSpec(n, s or "1" * n, resolve_seed(seed))))
-    zero = ClassicalOracle(
-        2 * n, n, lambda x: 0, "zero", fn_vec=lambda xs: np.zeros_like(xs)
-    )
-    d_lift = exact_output_distribution(template, {"F": lift_to_unitary(lifted)})
-    d_id = exact_output_distribution(template, {"F": lift_to_unitary(zero)})
+    template = lifted_simon_template(n, queries, noise)
+    lifted, zero = lifted_simon_bindings(n, s or "1" * n, resolve_seed(seed))
+    d_lift = exact_output_distribution(template, lifted)
+    d_id = exact_output_distribution(template, zero)
     tv = tv_distance(d_lift, d_id)
     bound = 4.0 * queries * math.exp(-noise.value * n / 4.0)
     return make_report(

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import subprocess
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,19 +32,6 @@ from . import __version__, algorithms, harness, metrics, oracles, qsim, verify
 from .errors import CapacityError, InvariantViolation, UsageError
 from .plotting import line_plot_svg
 from .seeding import resolve_seed, rng_for
-
-EXPERIMENT_NAMES = (
-    "bv-scaling",
-    "grover-degradation",
-    "shadow-decay",
-    "lifted-simon-tv",
-    "info-decay",
-    "noisy-parity",
-    "codes-verify",
-    "lecam",
-    "zalka",
-    "subset-separation",
-)
 
 _FLOAT_FMT = "%.12g"
 
@@ -58,7 +46,7 @@ def parse_n_spec(spec: "str | int | list") -> list[int]:
     if isinstance(spec, int):
         return [spec]
     if isinstance(spec, list):
-        if not all(isinstance(v, int) for v in spec):
+        if not all(type(v) is int for v in spec):
             raise UsageError(f"--n list members must be integers, got {spec!r}")
         return list(spec)
     spec = str(spec).strip()
@@ -105,11 +93,6 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple], seed: int) -> N
     print(f"wrote {path}")
 
 
-def _write_svg(path: Path, series, title: str, x_label: str, y_label: str) -> None:
-    path.write_text(line_plot_svg(series, title=title, x_label=x_label, y_label=y_label))
-    print(f"wrote {path}")
-
-
 def _flags(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
     """Long flag name -> argparse action, for every flag a config file may set."""
     return {
@@ -143,6 +126,10 @@ def _load_config(path: str, flags: dict[str, argparse.Action]) -> dict:
         if convert is None:
             raise UsageError(f"config parameter {key} must be a string, got {value!r}")
         try:
+            # a JSON boolean is no number, and int() would truncate 2.7
+            integral = not isinstance(value, float) or value.is_integer()
+            if isinstance(value, bool) or (convert is int and not integral):
+                raise ValueError
             data[key] = convert(value)
         except (TypeError, ValueError, OverflowError):
             raise UsageError(f"config parameter {key} must be {convert.__name__}, got {value!r}")
@@ -172,11 +159,20 @@ class _Params:
         out.mkdir(parents=True, exist_ok=True)
         return out
 
+    def count(self, key: str, default: int, least: int = 1) -> int:
+        value = int(self.get(key, default))
+        if value < least:
+            raise UsageError(f"--{key} must be at least {least}, got {value}")
+        return value
+
     def n_list(self, default: str) -> list[int]:
-        return parse_n_spec(self.get("n", default))
+        values = parse_n_spec(self.get("n", default))
+        if not values or min(values) < 1:
+            raise UsageError(f"--n takes positive qubit counts, got {values}")
+        return values
 
     def single_n(self, default: int) -> int:
-        values = parse_n_spec(self.get("n", default))
+        values = self.n_list(default)
         if len(values) != 1:
             raise UsageError("this mode takes a single --n value")
         return values[0]
@@ -209,9 +205,7 @@ def cmd_simulate(p: _Params) -> int:
         rows = [(s, prob) for s, prob in sorted(dist.items())]
         _write_csv(out, ["outcome", "probability"], rows, seed)
     elif backend == "trajectory":
-        shots = int(p.get("shots", 10_000))
-        if shots < 1:
-            raise UsageError("--shots must be positive")
+        shots = p.count("shots", 10_000)
         counts = qsim.sample_outcomes(
             circuit, seed=seed, shots=shots, threads=int(p.get("threads", 1))
         )
@@ -227,10 +221,52 @@ def cmd_simulate(p: _Params) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _exp_bv_scaling(p: _Params, out: Path) -> int:
+class _Plot(NamedTuple):
+    """A line plot of a record: `x` and each series' y name CSV columns."""
+
+    title: str
+    x_label: str
+    y_label: str
+    x: str
+    series: list[tuple[str, str]]
+
+
+@dataclass
+class _Record:
+    """One experiment run: its CSV table, an optional plot of it, the lines
+    to print, and whether the checked claim held (else exit 1)."""
+
+    header: list[str]
+    rows: list[tuple]
+    seed: int
+    plot: _Plot | None = None
+    lines: list[str] = field(default_factory=list)
+    ok: bool = True
+
+    def svg(self) -> str:
+        def column(name: str) -> list[float]:
+            return [float(row[self.header.index(name)]) for row in self.rows]
+
+        series = [(label, column(self.plot.x), column(y)) for label, y in self.plot.series]
+        return line_plot_svg(series, self.plot.title, self.plot.x_label, self.plot.y_label)
+
+
+def _verdict(name: str, ok: bool, passed: str, failed: str) -> list[str]:
+    return [f"PASS {name}: {passed}" if ok else f"FAIL {name}: {failed}"]
+
+
+def _sweep(xs, check) -> tuple[list[tuple], bool]:
+    """(x, lhs, rhs, holds) rows of the report `check(x)` at each x, and
+    whether every report held."""
+    reports = [(x, check(x)) for x in xs]
+    rows = [(x, rep["lhs"], rep["rhs"], rep["holds"]) for x, rep in reports]
+    return rows, all(row[3] for row in rows)
+
+
+def _exp_bv_scaling(p: _Params) -> _Record:
     lam = float(p.get("lambda", 0.05))
     delta = float(p.get("delta", 0.01))
-    trials = int(p.get("trials", 50))
+    trials = p.count("trials", 50)
     threads = int(p.get("threads", 1))
     seed = p.seed()
     rows = []
@@ -247,34 +283,24 @@ def _exp_bv_scaling(p: _Params, out: Path) -> int:
             )
             successes += got == secret
         rows.append((n, m, cfg.guaranteed, trials, successes, successes / trials))
-    _write_csv(
-        out / "bv-scaling.csv",
+    return _Record(
         ["n", "M", "guaranteed", "trials", "successes", "success_rate"],
         rows,
         seed,
+        _Plot("Majority repetitions vs width", "n", "M", "n", [("repetitions M", "M")]),
     )
-    ns = [float(r[0]) for r in rows]
-    _write_svg(
-        out / "bv-scaling.svg",
-        [("repetitions M", ns, [float(r[1]) for r in rows])],
-        "Majority repetitions vs width",
-        "n",
-        "M",
-    )
-    return 0
 
 
-def _exp_grover_degradation(p: _Params, out: Path) -> int:
+def _exp_grover_degradation(p: _Params) -> _Record:
     n = p.single_n(3)
     n_search = 2**n
     lam = float(p.get("lambda", 0.1))
-    iterations = int(p.get("trials", 6))
+    iterations = p.count("trials", 6, least=0)
     oracle = oracles.GroverOracle(n_search, 1)
     rows = []
     ok = True
     for t in range(iterations + 1):
-        theta = math.asin(1.0 / math.sqrt(n_search))
-        ideal = math.sin((2 * t + 1) * theta) ** 2
+        ideal = algorithms.grover_ideal_success(n_search, t)
         clean = algorithms.run_noisy_grover(oracle, 0.0, t)
         noisy = algorithms.run_noisy_grover(oracle, lam, t)
         if abs(clean - ideal) > 1e-9:
@@ -284,99 +310,68 @@ def _exp_grover_degradation(p: _Params, out: Path) -> int:
         if t >= 1 and lam > 0 and clean > 1.0 / n_search and not noisy < clean:
             ok = False
         rows.append((t, ideal, clean, noisy))
-    _write_csv(
-        out / "grover-degradation.csv",
+    series = [("closed form", "closed_form"), ("noiseless", "noiseless"), (f"lambda={_cell(lam)}", "noisy")]
+    return _Record(
         ["iterations", "closed_form", "noiseless", "noisy"],
         rows,
         p.seed(),
+        _Plot(
+            "Marked-state probability vs iterations", "iterations", "success probability", "iterations", series
+        ),
+        _verdict(
+            "grover-degradation",
+            ok,
+            "closed form matched, noise strictly degrades",
+            "noise did not strictly degrade success",
+        ),
+        ok,
     )
-    ts = [float(r[0]) for r in rows]
-    _write_svg(
-        out / "grover-degradation.svg",
-        [
-            ("closed form", ts, [r[1] for r in rows]),
-            ("noiseless", ts, [r[2] for r in rows]),
-            (f"lambda={_cell(lam)}", ts, [r[3] for r in rows]),
-        ],
-        "Marked-state probability vs iterations",
-        "iterations",
-        "success probability",
-    )
-    if not ok:
-        print("FAIL grover-degradation: noise did not strictly degrade success")
-        return 1
-    print("PASS grover-degradation: closed form matched, noise strictly degrades")
-    return 0
 
 
-def _exp_shadow_decay(p: _Params, out: Path) -> int:
+def _exp_shadow_decay(p: _Params) -> _Record:
     lam = float(p.get("lambda", 0.1))
     rows = []
-    ok = True
     for n in p.n_list("1..6"):
         got = algorithms.shadow_distinguish("Z" * n, lam, 1).trace_distance_per_query
-        expected = (1.0 - lam) ** n
-        if abs(got - expected) > 1e-10:
-            ok = False
-        rows.append((n, got, expected))
-    _write_csv(
-        out / "shadow-decay.csv",
+        rows.append((n, got, (1.0 - lam) ** n))
+    ok = all(abs(got - expected) <= 1e-10 for _, got, expected in rows)
+    series = [("per-query trace distance", "trace_distance"), ("(1-lambda)^n", "expected")]
+    return _Record(
         ["n", "trace_distance", "expected"],
         rows,
         p.seed(),
+        _Plot("Per-query distinguishability decay", "Pauli weight n", "trace distance", "n", series),
+        _verdict(
+            "shadow-decay",
+            ok,
+            "trace distance equals (1-lambda)^n within 1e-10",
+            "trace distance deviates from (1-lambda)^n",
+        ),
+        ok,
     )
-    ns = [float(r[0]) for r in rows]
-    _write_svg(
-        out / "shadow-decay.svg",
-        [
-            ("per-query trace distance", ns, [r[1] for r in rows]),
-            ("(1-lambda)^n", ns, [r[2] for r in rows]),
-        ],
-        "Per-query distinguishability decay",
-        "Pauli weight n",
-        "trace distance",
-    )
-    if not ok:
-        print("FAIL shadow-decay: trace distance deviates from (1-lambda)^n")
-        return 1
-    print("PASS shadow-decay: trace distance equals (1-lambda)^n within 1e-10")
-    return 0
 
 
-def _exp_lifted_simon_tv(p: _Params, out: Path) -> int:
+def _exp_lifted_simon_tv(p: _Params) -> _Record:
     lam = float(p.get("lambda", 0.6))
     seed = p.seed()
-    rows = []
-    ok = True
-    for n in p.n_list("2,3"):
-        rep = algorithms.lifted_simon_tv(n, lam, seed=seed)
-        ok = ok and rep["holds"]
-        rows.append((n, rep["lhs"], rep["rhs"], rep["holds"]))
-    _write_csv(
-        out / "lifted-simon-tv.csv", ["n", "tv", "bound", "holds"], rows, seed
+    rows, ok = _sweep(p.n_list("2,3"), lambda n: algorithms.lifted_simon_tv(n, lam, seed=seed))
+    series = [("output TV", "tv"), ("damping bound", "bound")]
+    return _Record(
+        ["n", "tv", "bound", "holds"],
+        rows,
+        seed,
+        _Plot("Lifted-function output damping", "n", "total variation", "n", series),
+        _verdict(
+            "lifted-simon-tv", ok, "TV within the damping bound at every n", "TV exceeded the damping bound"
+        ),
+        ok,
     )
-    ns = [float(r[0]) for r in rows]
-    _write_svg(
-        out / "lifted-simon-tv.svg",
-        [
-            ("output TV", ns, [r[1] for r in rows]),
-            ("damping bound", ns, [r[2] for r in rows]),
-        ],
-        "Lifted-function output damping",
-        "n",
-        "total variation",
-    )
-    if not ok:
-        print("FAIL lifted-simon-tv: TV exceeded the damping bound")
-        return 1
-    print("PASS lifted-simon-tv: TV within the damping bound at every n")
-    return 0
 
 
-def _exp_info_decay(p: _Params, out: Path) -> int:
+def _exp_info_decay(p: _Params) -> _Record:
     n = p.single_n(3)
     lam = float(p.get("lambda", 0.3))
-    depth = int(p.get("trials", 4))
+    depth = p.count("trials", 4, least=0)
     seed = p.seed()
     circuit = qsim.random_circuit(n, depth, lam, rng_for(seed, 0x696E66))
     rep = metrics.check_info_decay(circuit)
@@ -384,38 +379,32 @@ def _exp_info_decay(p: _Params, out: Path) -> int:
         (e["t"], e["information"], e["bound"], e["holds"])
         for e in rep["details"]["layers"]
     ]
-    _write_csv(
-        out / "info-decay.csv", ["t", "information", "bound", "holds"], rows, seed
+    series = [("information", "information"), ("(1-lambda)^t n", "bound")]
+    return _Record(
+        ["t", "information", "bound", "holds"],
+        rows,
+        seed,
+        _Plot("Information decay under noise layers", "noise layers t", "bits", "t", series),
+        _verdict(
+            "info-decay",
+            rep["holds"],
+            "information within (1-lambda)^t * n at every layer",
+            "a layer exceeded the decay bound",
+        ),
+        rep["holds"],
     )
-    ts = [float(r[0]) for r in rows]
-    _write_svg(
-        out / "info-decay.svg",
-        [
-            ("information", ts, [r[1] for r in rows]),
-            ("(1-lambda)^t n", ts, [r[2] for r in rows]),
-        ],
-        "Information decay under noise layers",
-        "noise layers t",
-        "bits",
-    )
-    if not rep["holds"]:
-        print("FAIL info-decay: a layer exceeded the decay bound")
-        return 1
-    print("PASS info-decay: information within (1-lambda)^t * n at every layer")
-    return 0
 
 
-def _exp_noisy_parity(p: _Params, out: Path) -> int:
+def _exp_noisy_parity(p: _Params) -> _Record:
     n = p.single_n(12)
     lam = float(p.get("lambda", 0.1))
     samples = int(p.get("shots", 2000))
-    instances = int(p.get("trials", 10))
+    instances = p.count("trials", 10)
     k = min(6, n)
     w_max = min(2, k)
     threads = int(p.get("threads", 1))
     seed = p.seed()
     rows = []
-    wins = 0
     for i in range(instances):
         rng = rng_for(seed, 0x7061, i)
         w = 1 + int(rng.integers(0, w_max))
@@ -434,159 +423,100 @@ def _exp_noisy_parity(p: _Params, out: Path) -> int:
             threads=threads,
         )
         recovered = algorithms.solve_noisy_parity_bruteforce(inst)
-        success = recovered == secret
-        wins += success
-        rows.append((i, secret, recovered or "", success, inst.eta))
-    _write_csv(
-        out / "noisy-parity.csv",
+        rows.append((i, secret, recovered or "", recovered == secret, inst.eta))
+    wins = sum(row[3] for row in rows)
+    return _Record(
         ["instance", "secret", "recovered", "success", "eta"],
         rows,
         seed,
+        lines=[f"noisy-parity: recovered {wins}/{instances} secrets"],
     )
-    print(f"noisy-parity: recovered {wins}/{instances} secrets")
-    return 0
 
 
-def _exp_codes_verify(p: _Params, out: Path) -> int:
+def _exp_codes_verify(p: _Params) -> _Record:
     summary = verify.run_checks(only="codes")
     rows = [
         (c["name"], "PASS" if c["holds"] else "FAIL", c["lhs"], c["rhs"])
         for c in summary["checks"]
     ]
-    _write_csv(out / "codes-verify.csv", ["check", "status", "lhs", "rhs"], rows, p.seed())
-    for name, status, *_ in rows:
-        print(f"{status} {name}")
-    return 0 if summary["passed"] else 1
+    lines = [f"{status} {name}" for name, status, *_ in rows]
+    return _Record(["check", "status", "lhs", "rhs"], rows, p.seed(), lines=lines, ok=summary["passed"])
 
 
-def _exp_lecam(p: _Params, out: Path) -> int:
+def _exp_lecam(p: _Params) -> _Record:
     n = p.single_n(2)
     lam_arg = p.get("lambda")
     lams = [float(lam_arg)] if lam_arg is not None else [0.2, 0.4, 0.6, 0.8]
     seed = p.seed()
-    rows = []
-    ok = True
-    for lam in lams:
-        template = algorithms.lifted_simon_template(n, 1, lam)
-        lifted = oracles.make_lifted_simon(
-            oracles.make_simon(oracles.SimonSpec(n, "1" * n, seed))
-        )
-        zero = oracles.ClassicalOracle(
-            2 * n, n, lambda x: 0, "zero", fn_vec=lambda xs: np.zeros_like(xs)
-        )
-        f0 = [(1.0, {"F": oracles.lift_to_unitary(lifted)})]
-        f1 = [(1.0, {"F": oracles.lift_to_unitary(zero)})]
+    lifted, zero = algorithms.lifted_simon_bindings(n, "1" * n, seed)
 
-        def step(t, template=template):
-            if t.circuit_depth < 1:
-                return harness.RunCircuit(template)
-            return harness.Output(t.edges[-1].outcome)
+    def advantage(lam: float) -> dict:
+        controller = harness.run_then_output(algorithms.lifted_simon_template(n, 1, lam))
+        return harness.lecam_advantage(controller, [(1.0, lifted)], [(1.0, zero)], lam)
 
-        rep = harness.lecam_advantage(harness.FunctionController(step), f0, f1, lam)
-        ok = ok and rep["holds"]
-        rows.append((lam, rep["lhs"], rep["rhs"], rep["holds"]))
-    _write_csv(
-        out / "lecam.csv", ["lambda", "advantage", "threshold", "holds"], rows, seed
+    rows, ok = _sweep(lams, advantage)
+    series = [("distinguishing advantage", "advantage"), ("1/3 threshold", "threshold")]
+    return _Record(
+        ["lambda", "advantage", "threshold", "holds"],
+        rows,
+        seed,
+        _Plot("Two-point advantage vs noise", "lambda", "total variation", "lambda", series),
+        _verdict(
+            "lecam",
+            ok,
+            "one-query advantage below 1/3 at every lambda",
+            "an advantage crossed the threshold",
+        ),
+        ok,
     )
-    xs = [r[0] for r in rows]
-    _write_svg(
-        out / "lecam.svg",
-        [
-            ("distinguishing advantage", xs, [r[1] for r in rows]),
-            ("1/3 threshold", xs, [r[2] for r in rows]),
-        ],
-        "Two-point advantage vs noise",
-        "lambda",
-        "total variation",
+
+
+def _exp_zalka(p: _Params) -> _Record:
+    n_search = 2 ** p.single_n(3)
+    iterations = p.count("trials", 3, least=0)
+    rows, ok = _sweep(
+        range(iterations + 1),
+        lambda t: algorithms.check_zalka_sum(algorithms.grover_zalka_template(n_search, t), n_search),
     )
-    if not ok:
-        print("FAIL lecam: an advantage crossed the threshold")
-        return 1
-    print("PASS lecam: one-query advantage below 1/3 at every lambda")
-    return 0
-
-
-def _exp_zalka(p: _Params, out: Path) -> int:
-    n = p.single_n(3)
-    n_search = 2**n
-    iterations = int(p.get("trials", 3))
-    rows = []
-    ok = True
-    for t in range(iterations + 1):
-        rep = algorithms.check_zalka_sum(
-            algorithms.grover_zalka_template(n_search, t), n_search
-        )
-        ok = ok and rep["holds"]
-        rows.append((t, rep["lhs"], rep["rhs"], rep["holds"]))
-    _write_csv(
-        out / "zalka.csv",
+    series = [("progress sum", "progress_sum"), ("4 T^2", "bound")]
+    return _Record(
         ["iterations", "progress_sum", "bound", "holds"],
         rows,
         p.seed(),
+        _Plot(
+            "Query progress vs budget", "oracle calls T", "summed squared displacement", "iterations", series
+        ),
+        _verdict("zalka", ok, "progress sum within 4 T^2 at every depth", "progress sum exceeded 4 T^2"),
+        ok,
     )
-    ts = [float(r[0]) for r in rows]
-    _write_svg(
-        out / "zalka.svg",
-        [
-            ("progress sum", ts, [r[1] for r in rows]),
-            ("4 T^2", ts, [r[2] for r in rows]),
-        ],
-        "Query progress vs budget",
-        "oracle calls T",
-        "summed squared displacement",
-    )
-    if not ok:
-        print("FAIL zalka: progress sum exceeded 4 T^2")
-        return 1
-    print("PASS zalka: progress sum within 4 T^2 at every depth")
-    return 0
 
 
-def _exp_subset_separation(p: _Params, out: Path) -> int:
+def _exp_subset_separation(p: _Params) -> _Record:
     m_bits = p.single_n(16)
     delta = float(p.get("delta", 0.05))
     trials = int(p.get("trials", 200))
     seed = p.seed()
     rows = []
-    ok = True
     for size in (4, 8, 16):
         rep = metrics.check_random_subset_separation(
             m_bits, size, delta, trials=trials, seed=seed
         )
-        ok = ok and rep["holds"]
+        details = rep["details"]
         rows.append(
-            (
-                m_bits,
-                size,
-                delta,
-                rep["lhs"],
-                rep["details"]["bound"],
-                rep["details"]["min_distance_mean"],
-                rep["holds"],
-            )
+            (m_bits, size, delta, rep["lhs"], details["bound"], details["min_distance_mean"], rep["holds"])
         )
-    _write_csv(
-        out / "subset-separation.csv",
+    ok = all(row[6] for row in rows)
+    series = [("mean min distance", "min_distance_mean"), ("separation bound", "bound")]
+    return _Record(
         ["m_bits", "size", "delta", "violation_rate", "bound", "min_distance_mean", "holds"],
         rows,
         seed,
+        _Plot("Random subset separation", "subset size", "Hamming distance", "size", series),
+        _verdict(
+            "subset-separation", ok, "under-separation stayed within delta", "violation rate exceeded delta"
+        ),
+        ok,
     )
-    xs = [float(r[1]) for r in rows]
-    _write_svg(
-        out / "subset-separation.svg",
-        [
-            ("mean min distance", xs, [r[5] for r in rows]),
-            ("separation bound", xs, [r[4] for r in rows]),
-        ],
-        "Random subset separation",
-        "subset size",
-        "Hamming distance",
-    )
-    if not ok:
-        print("FAIL subset-separation: violation rate exceeded delta")
-        return 1
-    print("PASS subset-separation: under-separation stayed within delta")
-    return 0
 
 
 _EXPERIMENTS = {
@@ -601,14 +531,26 @@ _EXPERIMENTS = {
     "zalka": _exp_zalka,
     "subset-separation": _exp_subset_separation,
 }
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 def cmd_experiment(name: str, p: _Params) -> int:
+    """Run one experiment, then write `<name>.csv` and `<name>.svg` and print
+    its lines.  The SVG is rendered first, so a failed render writes nothing."""
     if name not in _EXPERIMENTS:
         raise UsageError(
             f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENT_NAMES)}"
         )
-    return _EXPERIMENTS[name](p, p.out_dir())
+    record = _EXPERIMENTS[name](p)
+    svg = record.svg() if record.plot else None
+    out = p.out_dir()
+    _write_csv(out / f"{name}.csv", record.header, record.rows, record.seed)
+    if svg is not None:
+        (out / f"{name}.svg").write_text(svg)
+        print(f"wrote {out / name}.svg")
+    for line in record.lines:
+        print(line)
+    return 0 if record.ok else 1
 
 
 def cmd_verify(p: _Params) -> int:

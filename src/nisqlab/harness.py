@@ -169,6 +169,17 @@ class FunctionController(Controller):
         return self.fn(transcript)
 
 
+def run_then_output(circuit: NoisyCircuit, depth: int = 1) -> FunctionController:
+    """Run `circuit` `depth` times, then output the last outcome."""
+
+    def step(t: Transcript) -> Action:
+        if t.circuit_depth < depth:
+            return RunCircuit(circuit)
+        return Output(t.edges[-1].outcome)
+
+    return FunctionController(step)
+
+
 class BVMajorityController(Controller):
     """Secret recovery by repetition: run the standard one-query circuit M
     times, output the per-bit majority of the data register.

@@ -393,6 +393,8 @@ def check_random_subset_separation(
         raise UsageError("S must lie in [1, 2^(M-1)]")
     if not (0.0 < delta < 1.0):
         raise UsageError("delta must lie in (0, 1)")
+    if trials < 1:
+        raise UsageError(f"trials must be positive, got {trials}")
     rng = np.random.default_rng([seed, 0x5EB5])
     bound = separation_bound(m_bits, size, delta)
     violations = 0

@@ -472,7 +472,9 @@ def _pauli_events(lam: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (1-3 lam/4) rho + (lam/4)(X rho X + Y rho Y + Z rho Z).
     """
     hit = u < 0.75 * lam
-    choice = np.minimum((u / (0.25 * lam)).astype(np.int64), 2)
+    # 4 u / lam, not u / (lam / 4): a quarter of a subnormal rate underflows
+    # to 0.  Clamping u at 3 lam / 4 keeps the quotient finite off the hits.
+    choice = np.minimum((4.0 * np.minimum(u, 0.75 * lam) / lam).astype(np.int64), 2)
     return hit, choice
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import algorithms, codes, harness, metrics, oracles, qsim
 from .errors import UsageError
-from .harness import FunctionController, Output, RunCircuit
 from .oracles import (
     ClassicalOracle,
     GroverOracle,
@@ -623,20 +622,11 @@ def _check_hybrid_consistency() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_then_output(circuit: NoisyCircuit, depth: int = 1) -> FunctionController:
-    def step(t):
-        if t.circuit_depth < depth:
-            return RunCircuit(circuit)
-        return Output(t.edges[-1].outcome)
-
-    return FunctionController(step)
-
-
 @_check("harness", "leaf-normalization")
 def _check_leaf_normalization() -> dict:
     circ = qsim.random_circuit(2, 2, 0.3, rng_for(0, 0x7640))
     dist = harness.exact_leaf_distribution(
-        _run_then_output(circ, depth=2), oracles.make_bv("11"), 0.3
+        harness.run_then_output(circ, depth=2), oracles.make_bv("11"), 0.3
     )
     total = sum(dist.probabilities.values())
     ok = abs(total - 1.0) <= 1e-9 and len(dist.probabilities) == 16
@@ -655,13 +645,8 @@ def _check_lecam_consistency() -> dict:
     """Tree enumeration and direct output comparison agree on the TV."""
     n, lam = 2, 0.6
     template = algorithms.lifted_simon_template(n, 1, lam)
-    lifted = oracles.make_lifted_simon(oracles.make_simon(SimonSpec(n, "11", 7)))
-    zero = ClassicalOracle(
-        2 * n, n, lambda x: 0, "zero", fn_vec=lambda xs: np.zeros_like(xs)
-    )
-    f0 = [(1.0, {"F": oracles.lift_to_unitary(lifted)})]
-    f1 = [(1.0, {"F": oracles.lift_to_unitary(zero)})]
-    rep = harness.lecam_advantage(_run_then_output(template), f0, f1, lam)
+    lifted, zero = algorithms.lifted_simon_bindings(n, "11", 7)
+    rep = harness.lecam_advantage(harness.run_then_output(template), [(1.0, lifted)], [(1.0, zero)], lam)
     direct = algorithms.lifted_simon_tv(n, lam, s="11", seed=7)
     gap = abs(rep["lhs"] - direct["lhs"])
     return make_report(
@@ -677,7 +662,7 @@ def _check_lecam_consistency() -> dict:
 def _check_lecam_null() -> dict:
     circ = NoisyCircuit(1, [layer(H(0))], 0.2)
     fam = [(1.0, {"O": oracles.lift_to_unitary(oracles.make_bv("1"))})]
-    rep = harness.lecam_advantage(_run_then_output(circ), fam, fam, 0.2)
+    rep = harness.lecam_advantage(harness.run_then_output(circ), fam, fam, 0.2)
     return make_report(
         "identical oracle families give zero advantage",
         rep["lhs"],
@@ -691,7 +676,7 @@ def _check_lecam_null() -> dict:
 def _check_perturbation_identity() -> dict:
     oracle = oracles.make_bv("10")
     rep = harness.perturbation_check(
-        _run_then_output(algorithms.bv_circuit(2, 0.2)), oracle, oracle, 0.2
+        harness.run_then_output(algorithms.bv_circuit(2, 0.2)), oracle, oracle, 0.2
     )
     ok = rep["holds"] and rep["lhs"] <= 1e-12 and rep["details"]["epsilon"] <= 1e-12
     return make_report(

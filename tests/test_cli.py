@@ -306,6 +306,23 @@ def test_noisy_parity_reports_eta(tmp_path):
         assert 0.10 < float(r[4]) < 0.28
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bv-scaling", "--n", "8", "--trials", "0"],
+        ["subset-separation", "--trials", "0"],
+        ["noisy-parity", "--n", "0", "--trials", "1"],
+        ["grover-degradation", "--trials", "-1"],
+        ["zalka", "--trials", "-1"],
+        ["zalka", "--n", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_bad_count_is_usage_error_before_any_file(tmp_path, capsys, argv):
+    assert_usage_exit(["experiment", *argv, "--out", str(tmp_path / "out")], capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_experiment_is_usage_error(tmp_path):
     assert cli.main(["experiment", "warp-drive", "--out", str(tmp_path)]) == 2
 
@@ -404,8 +421,24 @@ def test_config_rejects_unknown_keys(tmp_path):
         {"experiment": "shadow-decay", "out": 7},
         {"experiment": "shadow-decay", "seed": -1},
         {"experiment": "shadow-decay", "seed": float("inf")},
+        {"circuit": "bell.json", "backend": "trajectory", "shots": 2.7},
+        {"circuit": "bell.json", "backend": "trajectory", "shots": True},
+        {"experiment": "shadow-decay", "n": True},
+        {"experiment": "shadow-decay", "seed": True},
     ],
-    ids=["shots-string", "n-list-string", "n-list-float", "circuit-number", "out-number", "negative-seed", "infinite-seed"],
+    ids=[
+        "shots-string",
+        "n-list-string",
+        "n-list-float",
+        "circuit-number",
+        "out-number",
+        "negative-seed",
+        "infinite-seed",
+        "shots-fraction",
+        "shots-boolean",
+        "n-boolean",
+        "seed-boolean",
+    ],
 )
 def test_config_value_of_wrong_type_usage(tmp_path, capsys, monkeypatch, doc):
     monkeypatch.chdir(tmp_path)
@@ -537,7 +570,9 @@ CONFIG_DOC = st.fixed_dictionaries(
         "threads": st.integers(1, 2),
     },
     optional={
-        "experiment": st.sampled_from(["shadow-decay", "zalka", "info-decay"]),
+        "experiment": st.sampled_from(
+            ["shadow-decay", "zalka", "info-decay", "grover-degradation", "lecam", "subset-separation"]
+        ),
         "delta": st.floats(0.01, 0.5),
         "backend": st.sampled_from(["exact", "trajectory"]),
         "only": st.just("codes"),

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -327,6 +328,13 @@ class TestTrajectories:
         qsim._pauli_noise(lambda q: prod[:, q, None, :, None], n, 1.0, u)
         np.testing.assert_allclose(densify(prod), dense, rtol=1e-14, atol=0)
         assert not np.allclose(dense, clean)
+
+    def test_subnormal_rate_samples_without_warnings(self):
+        # a quarter of 5e-324 underflows to 0, so the Pauli choice must not divide by it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = sample_outcomes(NoisyCircuit(1, [layer(H(0))], 5e-324), seed=1, shots=10)
+        assert sum(counts.values()) == 10
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
