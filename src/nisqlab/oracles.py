@@ -108,10 +108,13 @@ class PermutationBinding(OracleBinding):
 
     Subclasses give `_own_perm()`: register index r -> image index.  On the
     circuit, basis index idx with register value reg maps to
-    idx ^ spread(reg ^ own[reg]), so the other qubits are untouched.
+    idx ^ spread(reg ^ own[reg]), so the other qubits are untouched.  The
+    permutation is its own inverse, as every XOR lifting is, so one table
+    serves the gathers of the state backends and the basis images.
     """
 
     is_unitary = True
+    is_monomial = True
 
     def __init__(self, oracle, n_wires: int):
         self.oracle = oracle
@@ -137,6 +140,11 @@ class PermutationBinding(OracleBinding):
         self.oracle.query_counter.increment(tensor.shape[0] if batched else 1)
         flat = tensor.reshape(-1, 2**n_qubits) if batched else tensor.reshape(1, -1)
         return flat[:, perm].reshape(tensor.shape)
+
+    def apply_basis(self, outcomes: np.ndarray, wires, n_qubits: int) -> np.ndarray:
+        perm = self._perm(tuple(wires), n_qubits)
+        self.oracle.query_counter.increment(len(outcomes))
+        return perm[outcomes]
 
     def apply_density(self, tensor: np.ndarray, wires, n_qubits: int) -> np.ndarray:
         perm = self._perm(tuple(wires), n_qubits)
@@ -304,6 +312,7 @@ class GroverPhaseBinding(OracleBinding):
     """Diagonal +-1 unitary: negates the marked basis state of the register."""
 
     is_unitary = True
+    is_monomial = True
 
     def __init__(self, oracle: GroverOracle):
         self.oracle = oracle
@@ -326,6 +335,10 @@ class GroverPhaseBinding(OracleBinding):
         flat = (tensor.reshape(-1, 2**n_qubits) if batched else tensor.reshape(1, -1)).copy()
         flat[:, mask] *= -1.0
         return flat.reshape(tensor.shape)
+
+    def apply_basis(self, outcomes: np.ndarray, wires, n_qubits: int) -> np.ndarray:
+        self.oracle.query_counter.increment(len(outcomes))
+        return outcomes
 
     def apply_density(self, tensor: np.ndarray, wires, n_qubits: int) -> np.ndarray:
         self.oracle.query_counter.increment()

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bits import extract_field, spread_field
 from .errors import CapacityError, UsageError
 from .seeding import rng_for
 
@@ -501,6 +502,35 @@ def _pauli_noise(qubit_view, n: int, lam: float, u: np.ndarray) -> None:
         v[z, :, 1] *= -1.0  # Z: negate the |1> slice
 
 
+def _basis_map(m: np.ndarray) -> np.ndarray | None:
+    """Column j -> the row of its one nonzero entry, or None unless m has
+    exactly one nonzero entry, tested against exact zero, per row and column."""
+    nonzero = m != 0
+    if (nonzero.sum(axis=0) != 1).any() or (nonzero.sum(axis=1) != 1).any():
+        return None
+    return nonzero.argmax(axis=0)
+
+
+def _layer_on_basis(outcomes: np.ndarray, maps: list, n: int) -> np.ndarray:
+    for targets, image in maps:
+        local = extract_field(outcomes, targets, n)
+        outcomes = outcomes ^ spread_field(local ^ image[local], targets, n)
+    return outcomes
+
+
+def _draw_product(prod: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome indices of product states: the cumulative search's choice,
+    made qubit by qubit (most significant first) by rescaling the draw."""
+    p0 = np.abs(prod[:, :, 0]) ** 2 / (np.abs(prod) ** 2).sum(axis=2)
+    r, out = u, np.zeros(len(prod), dtype=np.int64)
+    for p in p0.T:
+        # a 1 needs p < 1 and a 0 needs r < p or p = 1: no denominator is 0
+        bit = (r >= p) & (p < 1.0)
+        r = np.where(bit, r - p, r) / np.where(bit, 1.0 - p, p)
+        out = (out << 1) | bit
+    return out
+
+
 # ---------------------------------------------------------------------------
 # oracle binding protocol
 # ---------------------------------------------------------------------------
@@ -510,12 +540,18 @@ class OracleBinding:
     """Interface oracles implement to act inside circuits.
 
     Tensors may carry a leading batch axis (statevector case); `wires` are
-    circuit qubit indices in the oracle's register order.
+    circuit qubit indices in the oracle's register order.  A binding whose
+    unitary maps basis states to phased basis states sets `is_monomial` and
+    gives `apply_basis`: the images of a batch of basis-state indices.
     """
 
     n_wires: int
+    is_monomial = False
 
     def apply_statevector(self, tensor: np.ndarray, wires: tuple[int, ...], n_qubits: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def apply_basis(self, outcomes: np.ndarray, wires: tuple[int, ...], n_qubits: int) -> np.ndarray:
         raise NotImplementedError
 
     def apply_density(self, tensor: np.ndarray, wires: tuple[int, ...], n_qubits: int) -> np.ndarray:
@@ -533,6 +569,29 @@ def _resolve_binding(bindings, call: OracleCall) -> OracleBinding:
             f"oracle {call.oracle_id!r} needs {expected} wires, call has {len(call.wires)}"
         )
     return binding
+
+
+def _monomial_tail(schedule: tuple, oracle_bindings, n: int) -> tuple[int, list]:
+    """Split off the ops after the schedule's last op that is not monomial
+    (noise is; a layer of monomial matrices and an `is_monomial` call are):
+    the cut and each tail op as a map of outcome indices, None for noise.
+    A tail of noise alone is returned empty, cut = len(schedule)."""
+    tail: list = []
+    for op in reversed(schedule):
+        if isinstance(op, GateLayer):
+            maps = [(g.targets, _basis_map(g.matrix)) for g in op.gates]
+            if any(m is None for _, m in maps):
+                break
+            op = functools.partial(_layer_on_basis, maps=maps, n=n)
+        elif op is not None:
+            binding = _resolve_binding(oracle_bindings, op)
+            if not binding.is_monomial:
+                break
+            op = functools.partial(binding.apply_basis, wires=op.wires, n_qubits=n)
+        tail.insert(0, op)
+    if all(op is None for op in tail):
+        tail = []
+    return len(schedule) - len(tail), tail
 
 
 # ---------------------------------------------------------------------------
@@ -647,10 +706,15 @@ def _sample_chunk(
     All randomness of a chunk is one flat row-major draw, so a row consumes
     the same stream values whichever rows are simulated with it: the stream
     is advanced straight to row `start` (PCG64 spends one step per double).
+
+    Measurement commutes with monomial ops, so rows are measured where the
+    monomial tail starts and the outcomes pushed through the tail; its noise
+    flips a bit on X or Y from the same `u` columns.
     """
     n = circuit.n_qubits
     lam = circuit.noise.value
     schedule = circuit.schedule()
+    cut, tail = _monomial_tail(schedule, oracle_bindings, n)
     batch = stop - start
     rng = rng_for(seed, stream_key, _CHUNK_STREAM_TAG, chunk_index)
     width = schedule.count(None) * n + 1 if lam > 0.0 else 1
@@ -665,16 +729,7 @@ def _sample_chunk(
     prod: np.ndarray | None = np.zeros((batch, n, 2), dtype=np.complex128)
     prod[:, :, 0] = 1.0
     tensor: np.ndarray | None = None
-
-    def densify() -> None:
-        nonlocal prod, tensor
-        t = prod[:, 0, :]
-        for q in range(1, n):
-            t = (t[:, :, None] * prod[:, q, None, :]).reshape(batch, -1)
-        tensor = np.ascontiguousarray(t.reshape((batch,) + (2,) * n))
-        prod = None
-
-    for op in schedule:
+    for op in schedule[:cut]:
         if op is None:
             if lam == 0.0:
                 continue
@@ -691,7 +746,10 @@ def _sample_chunk(
                 prod[:, q, :] = prod[:, q, :] @ g.matrix.T
         else:
             if prod is not None:
-                densify()
+                tensor = prod[:, 0, :]
+                for q in range(1, n):
+                    tensor = (tensor[:, :, None] * prod[:, q, None, :]).reshape(batch, -1)
+                tensor, prod = np.ascontiguousarray(tensor.reshape((batch,) + (2,) * n)), None
             if isinstance(op, GateLayer):
                 # rebinding per gate frees each gate's input; a layer call would hold the layer's input too
                 for g in op.gates:
@@ -699,12 +757,21 @@ def _sample_chunk(
             else:
                 tensor = _resolve_binding(oracle_bindings, op).apply_statevector(tensor, op.wires, n)
     if prod is not None:
-        densify()
-    probs = np.abs(tensor.reshape(batch, -1)) ** 2
-    probs /= probs.sum(axis=1, keepdims=True)
-    cum = np.cumsum(probs, axis=1)
-    outcomes = (cum <= u[:, :1]).sum(axis=1)
-    return np.minimum(outcomes, 2**n - 1)
+        outcomes = _draw_product(prod, u[:, 0])
+    else:
+        probs = np.abs(tensor.reshape(batch, -1)) ** 2
+        probs /= probs.sum(axis=1, keepdims=True)
+        cum = np.cumsum(probs, axis=1)
+        outcomes = np.minimum((cum <= u[:, :1]).sum(axis=1), 2**n - 1)
+    bit_values = 1 << np.arange(n - 1, -1, -1)
+    for op in tail:
+        if op is not None:
+            outcomes = op(outcomes)
+        elif lam > 0.0:
+            hit, choice = _pauli_events(lam, u[:, col : col + n])
+            col += n
+            outcomes = outcomes ^ ((hit & (choice < 2)) @ bit_values)
+    return outcomes
 
 
 def sample_outcomes(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nisqlab import cli
+from nisqlab import algorithms, cli, harness
 from nisqlab.errors import UsageError
 from nisqlab.qsim import CNOT, H, NoisyCircuit, circuit_to_json, layer
 
@@ -271,6 +271,26 @@ def test_grover_degradation_columns(tmp_path):
         assert clean == pytest.approx(closed, abs=1e-9)
         if t >= 1:
             assert noisy < clean  # all three depths sit above the 1/N floor
+
+
+@pytest.mark.parametrize("name,lam", [("lecam", "0.01"), ("grover-degradation", "1e-17")])
+def test_claim_outside_its_regime_is_not_judged(tmp_path, capsys, name, lam):
+    # lecam's advantage is 0.409 here; Grover's noisy and clean success are equal in double precision
+    assert cli.main(["experiment", name, "--lambda", lam, "--out", str(tmp_path)]) == 0
+    assert f"PASS {name}: no row in the claim's regime" in capsys.readouterr().out
+    header, rows, _ = read_csv(tmp_path / f"{name}.csv")
+    assert "holds" not in header or all(r[header.index("holds")] == "n/a" for r in rows)
+
+
+def test_claim_failing_in_its_regime_exits_one(tmp_path, monkeypatch, capsys):
+    real_advantage, real_grover = harness.lecam_advantage, algorithms.run_noisy_grover
+    monkeypatch.setattr(harness, "lecam_advantage", lambda *a, **k: {**real_advantage(*a, **k), "holds": False})
+    monkeypatch.setattr(algorithms, "run_noisy_grover", lambda oracle, lam, t: real_grover(oracle, 0.0, t))
+    assert cli.main(["experiment", "lecam", "--lambda", "0.01", "--out", str(tmp_path)]) == 0
+    assert cli.main(["experiment", "lecam", "--lambda", "0.6", "--out", str(tmp_path)]) == 1
+    assert cli.main(["experiment", "grover-degradation", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL lecam" in out and "FAIL grover-degradation" in out
 
 
 def test_codes_verify_all_pass(tmp_path, capsys):

@@ -12,8 +12,18 @@ from hypothesis import strategies as st
 
 from nisqlab import qsim
 from nisqlab.errors import CapacityError, UsageError
+from nisqlab.oracles import (
+    ClassicalOracle,
+    GroverOracle,
+    StateOracle,
+    StateOracleBinding,
+    lift_to_unitary,
+    make_bv,
+    make_grover_phase,
+)
 from nisqlab.qsim import (
     CNOT,
+    CZ,
     DensityMatrix,
     Gate,
     GateLayer,
@@ -24,6 +34,8 @@ from nisqlab.qsim import (
     OutcomeDistribution,
     PureState,
     X,
+    Y,
+    Z,
     apply_gate_layer,
     circuit_from_json,
     circuit_to_json,
@@ -345,6 +357,145 @@ class TestTrajectories:
     def test_wide_noiseless_circuit_runs(self):
         circ = NoisyCircuit(16, (layer(X(0)),), 0.0)
         assert sample_trajectory(circ, seed=0) == "1" + "0" * 15
+
+
+def assert_tv_within_3_sigma(exact: np.ndarray, counts: dict[str, int]) -> None:
+    """TV between the counts and `exact` exceeds its mean by under 3 sigma.
+
+    The mean is at most sum sqrt(p (1 - p) / shots) / 2 (Jensen); one shot
+    moves TV by at most 1 / shots, so sigma is at most 1 / sqrt(2 shots).
+    """
+    shots = sum(counts.values())
+    emp = np.zeros(len(exact))
+    for bits, c in counts.items():
+        emp[int(bits, 2)] = c / shots
+    tv = 0.5 * np.abs(emp - exact).sum()
+    bound = 0.5 * np.sqrt(exact * (1 - exact) / shots).sum() + 3 / math.sqrt(2 * shots)
+    assert tv < bound, (tv, bound)
+
+
+def random_oracle(rng, n_in: int, m_out: int) -> ClassicalOracle:
+    table = rng.integers(0, 2**m_out, size=2**n_in)
+    return ClassicalOracle(n_in, m_out, lambda x: int(table[x]), fn_vec=lambda xs: table[xs])
+
+
+def monomial_gate(a: int, b: int) -> Gate:
+    """A 2-qubit permutation that is not its own inverse, with phases."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[[1, 2, 3, 0], [0, 1, 2, 3]] = np.exp(1j * np.arange(4))
+    return Gate(m, (a, b))
+
+
+def random_monomial_tail(n: int, rng, steps: int = 4) -> tuple[list, dict]:
+    """Monomial steps on n qubits: layers of X, Y, Z, phase, CNOT, CZ and
+    `monomial_gate`, XOR and Grover-phase oracle calls on random wires;
+    returns (steps, bindings)."""
+    out, bindings = [], {}
+    for k in range(steps):
+        kind = rng.integers(0, 3)
+        wires = tuple(int(w) for w in rng.permutation(n)[: int(rng.integers(2, n + 1))])
+        if kind == 0:
+            bindings[f"O{k}"] = lift_to_unitary(random_oracle(rng, len(wires) - 1, 1))
+        elif kind == 1:
+            bindings[f"O{k}"] = make_grover_phase(GroverOracle(2 ** len(wires), int(rng.integers(0, 2 ** len(wires)))))
+        else:
+            order, gates = list(rng.permutation(n)), []
+            while order:
+                pick = int(rng.integers(0, 7 if len(order) > 1 else 4))
+                if pick < 4:
+                    q = int(order.pop())
+                    gates.append((X, Y, Z, lambda q: phase(q, float(rng.uniform(0, 2 * math.pi))))[pick](q))
+                else:
+                    gates.append((CNOT, CZ, monomial_gate)[pick - 4](int(order.pop()), int(order.pop())))
+            out.append(GateLayer(tuple(gates)))
+            continue
+        out.append(OracleCall(f"O{k}", wires))
+    return out, bindings
+
+
+class TestMonomialTail:
+    def test_detector_reads_monomial_matrices(self, rng):
+        perm = np.zeros((4, 4), dtype=complex)
+        perm[[2, 0, 3, 1], [0, 1, 2, 3]] = [1, -1, 1j, -1j]
+        for g in (X(0), Y(0), Z(0), CNOT(0, 1), CZ(0, 1), phase(0, 0.3), Gate(perm, (0, 1))):
+            assert qsim._basis_map(g.matrix) is not None, g
+        np.testing.assert_array_equal(qsim._basis_map(CNOT(0, 1).matrix), [0, 1, 3, 2])
+        np.testing.assert_array_equal(qsim._basis_map(perm), [2, 0, 3, 1])
+        tiny = Gate(np.array([[1e-17, 1], [1, 0]]), (0,))
+        for g in (H(0), Gate(qsim.haar_unitary(2, rng), (0,)), tiny):
+            assert qsim._basis_map(g.matrix) is None
+
+    def test_product_draw_matches_cumulative_search(self, rng):
+        batch, n = 2000, 6
+        prod = random_amplitudes(rng, batch, n, 2)
+        prod /= np.linalg.norm(prod, axis=2, keepdims=True)
+        prod[:50, 0] = [1, 0]  # certain bits: P(bit = 0) is exactly 1 or 0
+        prod[50:100, 1] = [0, 1j]
+        u = rng.random(batch)
+        dense = prod[:, 0, :]
+        for q in range(1, n):
+            dense = (dense[:, :, None] * prod[:, q, None, :]).reshape(batch, -1)
+        cum = np.cumsum(np.abs(dense) ** 2, axis=1)
+        expected = (cum <= u[:, None]).sum(axis=1)
+        np.testing.assert_array_equal(qsim._draw_product(prod, u), expected)
+
+    def test_cut_follows_the_last_non_monomial_step(self):
+        def cut(circ, bindings=None):
+            return qsim._monomial_tail(circ.schedule(), bindings, circ.n_qubits)[0]
+
+        xor = {"E": lift_to_unitary(make_bv("1"))}
+        state = {"E": StateOracleBinding(StateOracle(2, "ZZ", 1))}
+        query = NoisyCircuit(2, [layer(H(0)), OracleCall("E", (0, 1))], 0.1)
+        assert cut(query, xor) == 2
+        assert cut(query, state) == len(query.schedule())
+        assert cut(NoisyCircuit(2, [layer(H(0)), layer(CNOT(0, 1))], 0.1)) == 2
+        # a tail holding only the measurement noise is no tail
+        assert cut(NoisyCircuit(1, [layer(H(0))], 0.1)) == 3
+        assert cut(NoisyCircuit(1, [], 0.1)) == 2
+        assert cut(NoisyCircuit(1, [layer(X(0))], 0.1)) == 0
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("entangled", [False, True])
+    def test_random_tails_match_exact(self, n, lam, entangled):
+        rng = np.random.default_rng([n, int(10 * lam), entangled])
+        head = qsim.random_layer(n, rng, p_two=0.5 if entangled else 0.0)
+        tail, bindings = random_monomial_tail(n, rng)
+        circ = NoisyCircuit(n, [head, *tail], lam)
+        assert qsim._monomial_tail(circ.schedule(), bindings, n)[0] == 2
+        exact = exact_output_distribution(circ, bindings).as_array()
+        assert_tv_within_3_sigma(exact, sample_outcomes(circ, bindings, seed=n, shots=40000))
+
+    def test_wide_parity_query_matches_product_reference(self, rng):
+        # n = 13 is past the density cap: push the product marginals at the
+        # cut through bit-flip channels (rate lam / 2) and the oracle's table
+        n, lam = 13, 0.1
+        head = layer(*[Gate(qsim.haar_unitary(2, rng), (q,)) for q in range(n)])
+        binding = lift_to_unitary(random_oracle(rng, 9, 4))
+        circ = NoisyCircuit(n, [head, OracleCall("O", tuple(range(n)))], lam)
+
+        def flip_all(p: np.ndarray) -> np.ndarray:
+            t = p.reshape((2,) * n)
+            for q in range(n):
+                t = (1 - lam / 2) * t + (lam / 2) * np.flip(t, axis=q)
+            return t.reshape(-1)
+
+        dist = np.ones(1)
+        for g in head.gates:
+            rho = g.matrix @ np.diag([1 - lam / 2, lam / 2]) @ g.matrix.conj().T
+            dist = np.kron(dist, np.diag(rho).real)
+        exact = flip_all(flip_all(dist)[binding._perm(tuple(range(n)), n)])
+        assert_tv_within_3_sigma(exact, sample_outcomes(circ, {"O": binding}, seed=3, shots=400000))
+
+    def test_tail_counts_one_query_per_trajectory(self):
+        oracle = make_bv("101100110010")
+        circ = NoisyCircuit(13, [layer(*[H(i) for i in range(12)]), OracleCall("O", tuple(range(13)))], 0.1)
+        b = {"O": lift_to_unitary(oracle)}
+        sample_outcomes(circ, b, seed=4, shots=1000)
+        assert oracle.query_counter.value == 1000
+        oracle.query_counter.reset()
+        list(itertools.islice(qsim.sample_stream(circ, b, seed=4), 100))
+        assert oracle.query_counter.value == 128  # rows [0, 64) then [64, 128)
 
 
 class TestSerialization:
