@@ -152,12 +152,19 @@ def bv_outcome_counts(
     backend: str = "auto",
     threads: int = 1,
 ) -> dict[str, int]:
-    """Outcome counts of `runs` independent noisy executions."""
+    """Outcome counts of `runs` independent noisy executions.
+
+    The fast backend samples the circuit's exact outcome law for a linear f,
+    so it serves only oracles that declare their secret (`make_bv` does);
+    `auto` picks it for those above BV_FAST_QUBIT_MIN qubits and samples
+    every other oracle by trajectory.
+    """
     if oracle.n_in != cfg.n or oracle.m_out != 1:
         raise UsageError(f"need a {cfg.n}-bit single-output oracle")
     seed = resolve_seed(seed)
+    secret = oracle.bv_secret
     if backend == "auto":
-        backend = "trajectory" if cfg.n + 1 <= BV_FAST_QUBIT_MIN else "fast"
+        backend = "fast" if secret is not None and cfg.n + 1 > BV_FAST_QUBIT_MIN else "trajectory"
     if backend == "trajectory":
         circuit = bv_circuit(cfg.n, cfg.noise)
         return sample_outcomes(
@@ -165,11 +172,10 @@ def bv_outcome_counts(
         )
     if backend != "fast":
         raise UsageError(f"unknown backend {backend!r}")
-    # the secret is read out with n classical queries on unit vectors, then
-    # the exact outcome law is sampled directly; distribution-identical to
-    # the trajectory backend at any width
-    s_bits = np.array([oracle.evaluate(1 << (cfg.n - 1 - i)) for i in range(cfg.n)], dtype=np.uint8)
-    return _fast_bv_counts(s_bits, cfg.noise.value, runs, rng_for(seed, 0x6276))
+    if secret is None:
+        raise UsageError(f"the fast backend needs an oracle that declares its secret, not {oracle.name!r}")
+    # distribution-identical to the trajectory backend at any width
+    return _fast_bv_counts(str_to_arr(secret), cfg.noise.value, runs, rng_for(seed, 0x6276))
 
 
 def run_noisy_bv(

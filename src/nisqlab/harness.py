@@ -98,24 +98,14 @@ class Transcript:
         return sum(e.runtime_units for e in self.edges if isinstance(e, CircuitEdge))
 
     def to_json_lines(self) -> str:
-        lines = []
-        for e in self.edges:
+        def record(e: Edge) -> str:
             if isinstance(e, ClassicalEdge):
-                lines.append(json.dumps({"kind": "classical", "x": e.x, "fx": e.fx}))
-            else:
-                lines.append(
-                    json.dumps(
-                        {
-                            "kind": "circuit",
-                            "circuit": e.circuit_key,
-                            "outcome": e.outcome,
-                            "oracle_calls": e.oracle_calls,
-                            "runtime_units": e.runtime_units,
-                        },
-                        sort_keys=True,
-                    )
-                )
-        return "\n".join(lines)
+                return json.dumps({"kind": "classical", "x": e.x, "fx": e.fx})
+            fields = {"kind": "circuit", "circuit": e.circuit_key, "outcome": e.outcome,
+                      "oracle_calls": e.oracle_calls, "runtime_units": e.runtime_units}
+            return json.dumps(fields, sort_keys=True)
+
+        return "\n".join(map(record, self.edges))
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_json_lines().encode()).hexdigest()[:16]
@@ -184,9 +174,12 @@ class BVMajorityController(Controller):
     """Secret recovery by repetition: run the standard one-query circuit M
     times, output the per-bit majority of the data register.
 
-    Answer-equivalent, run for run, to the direct estimator in the
-    algorithms module under a shared seed: the harness feeds repeated runs
-    of one circuit from the same outcome stream the batch sampler uses.
+    Answer-equivalent, run for run, to `run_noisy_bv` under a shared seed
+    while that estimator samples by trajectory (its `auto` backend does for
+    n <= 14): the harness feeds repeated runs of one circuit from the same
+    outcome stream the batch sampler uses.  Wider registers run here by
+    trajectory too, so they are slow and past the trajectory cap raise
+    CapacityError.
     """
 
     def __init__(self, cfg):
@@ -197,8 +190,8 @@ class BVMajorityController(Controller):
         self.circuit = bv_circuit(cfg.n, cfg.noise)
 
     def step(self, transcript: Transcript) -> Action:
-        done = transcript.circuit_depth
-        if done < self.repetitions:
+        # every edge is a run of the one circuit
+        if len(transcript) < self.repetitions:
             return RunCircuit(self.circuit)
         ones = np.zeros(self.cfg.n, dtype=np.int64)
         for e in transcript.edges:
@@ -208,7 +201,7 @@ class BVMajorityController(Controller):
 
 
 # ---------------------------------------------------------------------------
-# oracle argument handling
+# the learning-tree walk
 # ---------------------------------------------------------------------------
 
 
@@ -247,14 +240,54 @@ def _stamped(circuit: NoisyCircuit, noise) -> NoisyCircuit:
     return NoisyCircuit(circuit.n_qubits, circuit.steps, noise)
 
 
-def _circuit_edge(circuit: NoisyCircuit, outcome: str) -> CircuitEdge:
-    calls = sum(1 for s in circuit.steps if isinstance(s, OracleCall))
-    return CircuitEdge(
-        circuit_key=f"{circuit_fingerprint(circuit):015x}",
-        outcome=outcome,
-        oracle_calls=calls,
-        runtime_units=circuit.n_qubits * len(circuit.steps),
-    )
+def _walk_tree(controller, views, noise, step_budget, depth_cap, leaf_cap, children):
+    """Walk the controller's learning tree with one path probability per
+    (circuit bindings, classical view) pair in `views`.
+
+    A classical query branches over the views' distinct answers, with
+    probability 1 under the views giving each and 0 under the rest.  A
+    stamped circuit branches over `children(circuit, bindings)`, its
+    (outcome, per-view probability) pairs.  Returns the leaves (transcript
+    -> path probabilities) and their answers.
+    """
+    bindings, classicals = zip(*views)
+    controller = controller.clone()
+    leaves: dict[Transcript, tuple[float, ...]] = {}
+    answers: dict[Transcript, object] = {}
+    stack = [(Transcript(), (1.0,) * len(views))]
+    while stack:
+        transcript, ps = stack.pop()
+        if len(transcript) >= step_budget:
+            raise CapacityError(f"controller did not output within the step budget of {step_budget}")
+        action = controller.step(transcript)
+        if isinstance(action, Output):
+            if len(leaves) >= leaf_cap:
+                raise CapacityError(f"more than {leaf_cap} leaves")
+            leaves[transcript] = ps
+            answers[transcript] = action.answer
+            continue
+        if isinstance(action, ClassicalQuery):
+            if None in classicals:
+                raise UsageError("controller made a classical query but the oracle has no classical view")
+            x = int(action.x)
+            fx = {c: c.evaluate(x) for c in dict.fromkeys(classicals)}
+            got = [fx[c] for c in classicals]
+            branches = [(ClassicalEdge(x, v), tuple(float(g == v) for g in got)) for v in sorted(set(got))]
+        elif isinstance(action, RunCircuit):
+            circuit = _stamped(action.circuit, noise)
+            if len(circuit.steps) > depth_cap:
+                raise CapacityError(f"circuit depth {len(circuit.steps)} exceeds the cap {depth_cap}")
+            key = f"{circuit_fingerprint(circuit):015x}"
+            calls = sum(1 for s in circuit.steps if isinstance(s, OracleCall))
+            units = circuit.n_qubits * len(circuit.steps)
+            branches = [(CircuitEdge(key, o, calls, units), f) for o, f in children(circuit, bindings)]
+        else:
+            raise UsageError(f"controller returned {type(action).__name__}, not an action")
+        for edge, factors in branches:
+            stack.append((transcript.with_edge(edge), tuple(p * f for p, f in zip(ps, factors))))
+            if len(stack) + len(leaves) > leaf_cap:
+                raise CapacityError(f"branching exceeded {leaf_cap} paths")
+    return leaves, answers
 
 
 # ---------------------------------------------------------------------------
@@ -282,47 +315,25 @@ def run_controller(
 ) -> RunResult:
     """Execute one controller, sampling circuit outcomes by trajectory.
 
-    Repeated runs of a structurally identical circuit consume consecutive
-    outcomes of one stream keyed by the circuit's content, so M runs here
-    aggregate to exactly the counts of an M-shot batch under the same seed.
+    The one-branch walk of the learning tree.  Repeated runs of a
+    structurally identical circuit consume consecutive outcomes of one
+    stream keyed by the circuit's content, so M runs here aggregate to
+    exactly the counts of an M-shot batch under the same seed.
     """
     master = resolve_seed(seed)
-    bindings, classical = _oracle_views(oracle)
-    controller = controller.clone()
+    views = [_oracle_views(oracle)]
     streams: dict[int, object] = {}
-    transcript = Transcript()
-    start = time.perf_counter()
-    for _ in range(step_budget):
-        action = controller.step(transcript)
-        if isinstance(action, Output):
-            return RunResult(
-                transcript,
-                action.answer,
-                transcript.query_count,
-                transcript.runtime_units,
-                time.perf_counter() - start,
-                depth_cap,
-            )
-        if isinstance(action, ClassicalQuery):
-            if classical is None:
-                raise UsageError("controller made a classical query but the oracle has no classical view")
-            transcript = transcript.with_edge(
-                ClassicalEdge(int(action.x), classical.evaluate(int(action.x)))
-            )
-            continue
-        if not isinstance(action, RunCircuit):
-            raise UsageError(f"controller returned {type(action).__name__}, not an action")
-        circuit = _stamped(action.circuit, noise)
-        if len(circuit.steps) > depth_cap:
-            raise CapacityError(
-                f"circuit depth {len(circuit.steps)} exceeds the cap {depth_cap}"
-            )
+
+    def next_outcome(circuit, bindings):
         key = circuit_fingerprint(circuit)
         if key not in streams:
-            streams[key] = sample_stream(circuit, bindings, seed=master)
-        outcome = next(streams[key])
-        transcript = transcript.with_edge(_circuit_edge(circuit, outcome))
-    raise CapacityError(f"controller did not output within the step budget of {step_budget}")
+            streams[key] = sample_stream(circuit, bindings[0], seed=master)
+        return [(next(streams[key]), (1.0,))]
+
+    start = time.perf_counter()
+    leaves, answers = _walk_tree(controller, views, noise, step_budget, depth_cap, LEAF_CAP, next_outcome)
+    (t,) = leaves
+    return RunResult(t, answers[t], t.query_count, t.runtime_units, time.perf_counter() - start, depth_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -360,59 +371,21 @@ class LeafDistribution:
         return "transcript_hash,probability\n" + body + "\n"
 
 
-def _enumerate_tree(controller, oracles, noise, step_budget, depth_cap, leaf_cap):
-    """Enumerate the learning tree once, carrying one probability per oracle.
+def _enumerate_tree(controller, views, noise, step_budget, depth_cap, leaf_cap):
+    """The all-branch walk over the union of the views' exact supports; also
+    returns, per circuit fingerprint, the (outcome, per-view probability)
+    pairs of the sorted joint support."""
+    nodes: dict[int, list] = {}
 
-    Classical queries are answered by the first oracle; a circuit edge
-    branches over the union of the stamped circuit's outcome supports under
-    every oracle.  Returns the leaves (transcript -> tuple of path
-    probabilities), their answers, and per visited circuit fingerprint the
-    tuple of exact outcome distributions with their sorted joint support.
-    """
-    views = [_oracle_views(o) for o in oracles]
-    classical = views[0][1]
-    controller = controller.clone()
-    leaves: dict[Transcript, tuple[float, ...]] = {}
-    answers: dict[Transcript, object] = {}
-    nodes: dict[int, tuple] = {}
-    stack = [(Transcript(), (1.0,) * len(views))]
-    n_leaves = 0
-    while stack:
-        transcript, ps = stack.pop()
-        if len(transcript) >= step_budget:
-            raise CapacityError(f"a branch exceeded {step_budget} steps")
-        action = controller.step(transcript)
-        if isinstance(action, Output):
-            n_leaves += 1
-            if n_leaves > leaf_cap:
-                raise CapacityError(f"more than {leaf_cap} leaves")
-            old = leaves.get(transcript, (0.0,) * len(views))
-            leaves[transcript] = tuple(a + p for a, p in zip(old, ps))
-            answers[transcript] = action.answer
-            continue
-        if isinstance(action, ClassicalQuery):
-            if classical is None:
-                raise UsageError("controller made a classical query but the oracle has no classical view")
-            edge = ClassicalEdge(int(action.x), classical.evaluate(int(action.x)))
-            stack.append((transcript.with_edge(edge), ps))
-            continue
-        if not isinstance(action, RunCircuit):
-            raise UsageError(f"controller returned {type(action).__name__}, not an action")
-        circuit = _stamped(action.circuit, noise)
-        if len(circuit.steps) > depth_cap:
-            raise CapacityError(
-                f"circuit depth {len(circuit.steps)} exceeds the cap {depth_cap}"
-            )
+    def joint_support(circuit, bindings):
         key = circuit_fingerprint(circuit)
         if key not in nodes:
-            dists = tuple(exact_output_distribution(circuit, bindings) for bindings, _ in views)
-            nodes[key] = (dists, sorted(set().union(*(d.probabilities for d in dists))))
-        dists, support = nodes[key]
-        for outcome in support:
-            edge = _circuit_edge(circuit, outcome)
-            stack.append((transcript.with_edge(edge), tuple(p * d.get(outcome) for p, d in zip(ps, dists))))
-            if len(stack) + n_leaves > leaf_cap:
-                raise CapacityError(f"branching exceeded {leaf_cap} paths")
+            dists = [exact_output_distribution(circuit, b) for b in bindings]
+            support = sorted(set().union(*(d.probabilities for d in dists)))
+            nodes[key] = [(o, tuple(d.get(o) for d in dists)) for o in support]
+        return nodes[key]
+
+    leaves, answers = _walk_tree(controller, views, noise, step_budget, depth_cap, leaf_cap, joint_support)
     return leaves, answers, nodes
 
 
@@ -430,7 +403,8 @@ def exact_leaf_distribution(
     be pure.  Classical edges are deterministic; circuit edges branch over
     the exact output distribution of the stamped circuit.
     """
-    leaves, answers, _ = _enumerate_tree(controller, [oracle], noise, step_budget, depth_cap, leaf_cap)
+    views = [_oracle_views(oracle)]
+    leaves, answers, _ = _enumerate_tree(controller, views, noise, step_budget, depth_cap, leaf_cap)
     return LeafDistribution({t: p for t, (p,) in leaves.items()}, answers)
 
 
@@ -447,17 +421,6 @@ def _check_family(family) -> list[tuple[float, object]]:
     if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
         raise UsageError("family weights must be nonnegative and sum to 1")
     return [(float(w), o) for w, o in family]
-
-
-def _mixture_leaves(controller, family, noise, **caps) -> dict[Transcript, float]:
-    mix: dict[Transcript, float] = {}
-    for weight, oracle in family:
-        if weight == 0.0:
-            continue
-        dist = exact_leaf_distribution(controller, oracle, noise, **caps)
-        for t, p in dist.probabilities.items():
-            mix[t] = mix.get(t, 0.0) + weight * p
-    return mix
 
 
 def lecam_advantage(
@@ -481,10 +444,20 @@ def lecam_advantage(
     """
     family0 = _check_family(family0)
     family1 = _check_family(family1)
-    caps = {"step_budget": step_budget, "depth_cap": depth_cap}
     if mode == "exact":
-        mix0 = _mixture_leaves(controller, family0, noise, **caps)
-        mix1 = _mixture_leaves(controller, family1, noise, **caps)
+        # one walk over both families' distinct oracles, mixed member by member
+        members = [[(w, o) for w, o in family if w > 0.0] for family in (family0, family1)]
+        distinct = list({id(o): o for _, o in members[0] + members[1]}.values())
+        column = {id(o): j for j, o in enumerate(distinct)}
+        views = [_oracle_views(o) for o in distinct]
+        leaves, _, _ = _enumerate_tree(controller, views, noise, step_budget, depth_cap, LEAF_CAP)
+        mix0, mix1 = {}, {}
+        for family, mix in zip(members, (mix0, mix1)):
+            for weight, oracle in family:
+                j = column[id(oracle)]
+                for t, ps in leaves.items():
+                    if ps[j] > 0.0:
+                        mix[t] = mix.get(t, 0.0) + weight * ps[j]
         tv = dict_tv(mix0, mix1)
         slack = 0.0
         details = {"mode": mode, "transcripts": len(mix0 | mix1)}
@@ -500,7 +473,7 @@ def lecam_advantage(
                 idx = int(np.searchsorted(cum, rng.random(), side="right"))
                 idx = min(idx, len(family) - 1)
                 child = int(rng.integers(0, 2**62))
-                result = run_controller(controller, family[idx][1], noise, seed=child, **caps)
+                result = run_controller(controller, family[idx][1], noise, child, step_budget, depth_cap)
                 counts[result.answer] = counts.get(result.answer, 0) + 1
             answer_dists.append({a: c / trials for a, c in counts.items()})
         tv = dict_tv(*answer_dists)
@@ -542,11 +515,11 @@ def perturbation_check(
     root-to-leaf path, and classical queries are answered by the original
     oracle in both trees (the substitution acts inside circuits only).
     """
-    leaves, _, nodes = _enumerate_tree(
-        controller, [oracle, substitute], noise, step_budget, depth_cap, leaf_cap
-    )
+    bindings, classical = _oracle_views(oracle)
+    views = [(bindings, classical), (_oracle_views(substitute)[0], classical)]
+    leaves, _, nodes = _enumerate_tree(controller, views, noise, step_budget, depth_cap, leaf_cap)
     epsilon = max(
-        (0.5 * sum(abs(d0.get(o) - d1.get(o)) for o in support) for (d0, d1), support in nodes.values()),
+        (0.5 * sum(abs(p0 - p1) for _, (p0, p1) in kids) for kids in nodes.values()),
         default=0.0,
     )
     depth = max((t.circuit_depth for t in leaves), default=0)

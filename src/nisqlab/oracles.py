@@ -64,6 +64,7 @@ class ClassicalOracle:
     name: str = "oracle"
     fn_vec: "callable | None" = None
     query_counter: QueryCounter = field(default_factory=QueryCounter, repr=False)
+    bv_secret: "str | None" = None  # s when make_bv built f(x) = <x, s> mod 2
 
     def __post_init__(self) -> None:
         if self.n_in < 1 or self.m_out < 1:
@@ -104,9 +105,10 @@ class ClassicalOracle:
 
 
 class PermutationBinding(OracleBinding):
-    """A basis permutation of the oracle's own register, lifted to a circuit.
+    """A signed basis permutation of the oracle's own register, lifted to a circuit.
 
-    Subclasses give `_own_perm()`: register index r -> image index.  On the
+    Subclasses give `_own_perm()`: register index r -> image index, and may
+    give `_own_signs()`: the +-1 phase of each r (None: all +1).  On the
     circuit, basis index idx with register value reg maps to
     idx ^ spread(reg ^ own[reg]), so the other qubits are untouched.  The
     permutation is its own inverse, as every XOR lifting is, so one table
@@ -119,27 +121,39 @@ class PermutationBinding(OracleBinding):
     def __init__(self, oracle, n_wires: int):
         self.oracle = oracle
         self.n_wires = n_wires
-        self._perms: dict[tuple, np.ndarray] = {}
+        self._tables: dict[tuple, tuple] = {}
 
     def _own_perm(self) -> np.ndarray:
         raise NotImplementedError
 
-    def _perm(self, wires: tuple[int, ...], n_qubits: int) -> np.ndarray:
+    def _own_signs(self) -> np.ndarray | None:
+        return None
+
+    def _lifted(self, wires: tuple[int, ...], n_qubits: int) -> tuple:
+        """The circuit permutation, and the mask of output indices whose
+        amplitude is negated (None when no sign is -1)."""
         key = (wires, n_qubits)
-        if key not in self._perms:
+        if key not in self._tables:
             if len(wires) != self.n_wires:
                 raise UsageError(f"oracle needs {self.n_wires} wires, got {len(wires)}")
             idx = np.arange(2**n_qubits, dtype=np.int64)
             reg = extract_field(idx, wires, n_qubits)
-            self._perms[key] = idx ^ spread_field(reg ^ self._own_perm()[reg], wires, n_qubits)
-        return self._perms[key]
+            perm = idx ^ spread_field(reg ^ self._own_perm()[reg], wires, n_qubits)
+            signs = self._own_signs()
+            self._tables[key] = (perm, None if signs is None else (signs[reg] < 0)[perm])
+        return self._tables[key]
+
+    def _perm(self, wires: tuple[int, ...], n_qubits: int) -> np.ndarray:
+        return self._lifted(wires, n_qubits)[0]
 
     def apply_statevector(self, tensor: np.ndarray, wires, n_qubits: int) -> np.ndarray:
-        perm = self._perm(tuple(wires), n_qubits)
+        perm, neg = self._lifted(tuple(wires), n_qubits)
         batched = tensor.ndim == n_qubits + 1
         self.oracle.query_counter.increment(tensor.shape[0] if batched else 1)
-        flat = tensor.reshape(-1, 2**n_qubits) if batched else tensor.reshape(1, -1)
-        return flat[:, perm].reshape(tensor.shape)
+        flat = (tensor.reshape(-1, 2**n_qubits) if batched else tensor.reshape(1, -1))[:, perm]
+        if neg is not None:
+            flat[:, neg] *= -1.0
+        return flat.reshape(tensor.shape)
 
     def apply_basis(self, outcomes: np.ndarray, wires, n_qubits: int) -> np.ndarray:
         perm = self._perm(tuple(wires), n_qubits)
@@ -147,10 +161,13 @@ class PermutationBinding(OracleBinding):
         return perm[outcomes]
 
     def apply_density(self, tensor: np.ndarray, wires, n_qubits: int) -> np.ndarray:
-        perm = self._perm(tuple(wires), n_qubits)
+        perm, neg = self._lifted(tuple(wires), n_qubits)
         self.oracle.query_counter.increment()
-        rho = tensor.reshape(2**n_qubits, 2**n_qubits)
-        return rho[perm][:, perm].reshape(tensor.shape)
+        rho = tensor.reshape(2**n_qubits, 2**n_qubits)[perm][:, perm]
+        if neg is not None:
+            rho[neg, :] *= -1.0
+            rho[:, neg] *= -1.0
+        return rho.reshape(tensor.shape)
 
 
 class XorOracleBinding(PermutationBinding):
@@ -257,7 +274,7 @@ def make_bv(s: str) -> ClassicalOracle:
     def fn_vec(xs: np.ndarray) -> np.ndarray:
         return np.bitwise_count(np.int64(xs) & s_int).astype(np.int64) & 1
 
-    return ClassicalOracle(n, 1, fn, f"bv-{s}", fn_vec=fn_vec)
+    return ClassicalOracle(n, 1, fn, f"bv-{s}", fn_vec=fn_vec, bv_secret=s)
 
 
 def make_lifted_simon(f: ClassicalOracle) -> ClassicalOracle:
@@ -308,47 +325,18 @@ class GroverOracle:
         return max(1, math.ceil(math.log2(self.n_search)))
 
 
-class GroverPhaseBinding(OracleBinding):
+class GroverPhaseBinding(PermutationBinding):
     """Diagonal +-1 unitary: negates the marked basis state of the register."""
 
-    is_unitary = True
-    is_monomial = True
-
     def __init__(self, oracle: GroverOracle):
-        self.oracle = oracle
-        self.n_wires = oracle.n_wires
-        self._masks: dict[tuple, np.ndarray] = {}
+        super().__init__(oracle, oracle.n_wires)
 
-    def _mask(self, wires: tuple[int, ...], n_qubits: int) -> np.ndarray:
-        key = (wires, n_qubits)
-        if key not in self._masks:
-            idx = np.arange(2**n_qubits, dtype=np.int64)
-            self._masks[key] = extract_field(idx, wires, n_qubits) == self.oracle.marked
-        return self._masks[key]
+    def _own_perm(self) -> np.ndarray:
+        return np.arange(2**self.n_wires, dtype=np.int64)
 
-    def apply_statevector(self, tensor: np.ndarray, wires, n_qubits: int) -> np.ndarray:
-        batched = tensor.ndim == n_qubits + 1
-        self.oracle.query_counter.increment(tensor.shape[0] if batched else 1)
-        if self.oracle.marked == 0:
-            return tensor
-        mask = self._mask(tuple(wires), n_qubits)
-        flat = (tensor.reshape(-1, 2**n_qubits) if batched else tensor.reshape(1, -1)).copy()
-        flat[:, mask] *= -1.0
-        return flat.reshape(tensor.shape)
-
-    def apply_basis(self, outcomes: np.ndarray, wires, n_qubits: int) -> np.ndarray:
-        self.oracle.query_counter.increment(len(outcomes))
-        return outcomes
-
-    def apply_density(self, tensor: np.ndarray, wires, n_qubits: int) -> np.ndarray:
-        self.oracle.query_counter.increment()
-        if self.oracle.marked == 0:
-            return tensor
-        mask = self._mask(tuple(wires), n_qubits)
-        rho = tensor.reshape(2**n_qubits, 2**n_qubits).copy()
-        rho[mask, :] *= -1.0
-        rho[:, mask] *= -1.0
-        return rho.reshape(tensor.shape)
+    def _own_signs(self) -> np.ndarray | None:
+        r = np.arange(2**self.n_wires)
+        return np.where(r == self.oracle.marked, -1.0, 1.0) if self.oracle.marked else None
 
 
 def make_grover_phase(oracle: GroverOracle) -> GroverPhaseBinding:

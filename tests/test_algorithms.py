@@ -171,6 +171,25 @@ class TestBVRun:
         with pytest.raises(UsageError):
             run_noisy_bv(BVRunConfig(4, 0.0, 0.1, repetitions=1), make_bv("101"))
 
+    def test_nonlinear_oracle_is_sampled_by_trajectory(self):
+        # f(x) = x_0 AND x_1 is not an inner product: the circuit spreads its
+        # first two data bits over all four values, which the linear law misses
+        from nisqlab.oracles import ClassicalOracle
+
+        f = ClassicalOracle(15, 1, lambda x: (x >> 14) & (x >> 13) & 1, "and2")
+        cfg = BVRunConfig(15, 0.0, 0.1, repetitions=1)
+        counts = bv_outcome_counts(cfg, f, 400, seed=1)
+        assert set(counts) == {a + b + "0" * 13 + "1" for a in "01" for b in "01"}
+        assert all(c >= 50 for c in counts.values())
+        with pytest.raises(UsageError, match="declares its secret"):
+            bv_outcome_counts(cfg, f, 10, seed=1, backend="fast")
+
+    def test_fast_path_reads_the_declared_secret(self):
+        f = make_bv("1" * 16)
+        counts = bv_outcome_counts(BVRunConfig(16, 0.0, 0.1, repetitions=1), f, 50, seed=1)
+        assert counts == {"1" * 16 + "1": 50}
+        assert f.query_counter.value == 0
+
 
 class TestGroverDecomposition:
     @pytest.mark.parametrize("k", [1, 2, 3])

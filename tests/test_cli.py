@@ -282,6 +282,15 @@ def test_claim_outside_its_regime_is_not_judged(tmp_path, capsys, name, lam):
     assert "holds" not in header or all(r[header.index("holds")] == "n/a" for r in rows)
 
 
+def test_grover_rows_past_the_first_peak_are_not_judged(tmp_path, capsys):
+    # at 5 iterations (t* = 3) the rotation overshoots and noise raises success
+    argv = ["experiment", "grover-degradation", "--n", "4", "--trials", "5", "--lambda", "0.001"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    assert "(3 of 6 rows outside the claim's regime)" in capsys.readouterr().out
+    _, rows, _ = read_csv(tmp_path / "grover-degradation.csv")
+    assert float(rows[5][3]) > float(rows[5][2])
+
+
 def test_claim_failing_in_its_regime_exits_one(tmp_path, monkeypatch, capsys):
     real_advantage, real_grover = harness.lecam_advantage, algorithms.run_noisy_grover
     monkeypatch.setattr(harness, "lecam_advantage", lambda *a, **k: {**real_advantage(*a, **k), "holds": False})

@@ -81,6 +81,50 @@ def wide_oracle_circuit():
     return circ, {"O": lift_to_unitary(make_bv("101100111000101"))}
 
 
+def adaptive_controller(rng, lam):
+    """Two 2-qubit query circuits; the second is picked by the first outcome's last bit."""
+
+    def query_circuit():
+        return NoisyCircuit(2, [random_layer(2, rng), OracleCall("O", (0, 1)), random_layer(2, rng)], lam)
+
+    first, on0, on1 = query_circuit(), query_circuit(), query_circuit()
+
+    def step(t):
+        if t.circuit_depth == 0:
+            return RunCircuit(first)
+        if t.circuit_depth == 1:
+            return RunCircuit(on1 if t.edges[-1].outcome.endswith("1") else on0)
+        return Output(t.edges[-1].outcome)
+
+    return FunctionController(step)
+
+
+class CountingController(Controller):
+    """Counts step calls of a wrapped controller."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def step(self, transcript):
+        self.calls += 1
+        return self.inner.step(transcript)
+
+
+def per_member_lecam(controller, family0, family1, noise):
+    """Exact two-point TV and transcript count, mixing one leaf distribution
+    per family member."""
+    mixes = []
+    for family in (family0, family1):
+        mix = {}
+        for w, oracle in family:
+            for t, p in exact_leaf_distribution(controller, oracle, noise).probabilities.items():
+                mix[t] = mix.get(t, 0.0) + w * p
+        mixes.append(mix)
+    keys = mixes[0] | mixes[1]
+    return 0.5 * sum(abs(mixes[0].get(k, 0.0) - mixes[1].get(k, 0.0)) for k in keys), len(keys)
+
+
 ZERO_1BIT = ClassicalOracle(1, 1, lambda x: 0, "zero1", fn_vec=lambda xs: np.zeros_like(xs))
 
 
@@ -322,6 +366,54 @@ class TestLeCam:
         )
         assert rep["holds"]
         assert abs(rep["lhs"] - exact["lhs"]) <= rep["details"]["slack"]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.3])
+    def test_grover_family_matches_per_member_mixture(self, lam):
+        g = grover_circuit(3, 1, lam)
+        f0 = [(1 / 8, {"G": make_grover_phase(GroverOracle(8, i))}) for i in range(8)]
+        f1 = [(1.0, {"G": make_grover_phase(GroverOracle(8, 0))})]
+        rep = lecam_advantage(run_then_output(g), f0, f1, lam)
+        tv, transcripts = per_member_lecam(run_then_output(g), f0, f1, lam)
+        assert abs(rep["lhs"] - tv) <= 1e-15
+        assert rep["details"]["transcripts"] == transcripts
+
+    @pytest.mark.parametrize("seed,lam", [(0, 0.2), (1, 0.5), (2, 0.0)])
+    def test_shared_oracle_families_match_per_member_mixture(self, seed, lam):
+        # the families mix the same two oracle objects, as the benchmark's do
+        ctrl = adaptive_controller(np.random.default_rng(seed), lam)
+        one, zero = make_bv("1"), make_bv("0")
+        f0, f1 = [(0.5, one), (0.5, zero)], [(0.3, one), (0.7, zero)]
+        rep = lecam_advantage(ctrl, f0, f1, lam)
+        tv, transcripts = per_member_lecam(ctrl, f0, f1, lam)
+        assert abs(rep["lhs"] - tv) <= 1e-15
+        assert rep["details"]["transcripts"] == transcripts
+
+    def test_families_differing_in_classical_answers(self):
+        # each member answers the controller's classical query itself
+        def step(t):
+            if len(t) == 0:
+                return ClassicalQuery(1)
+            if t.circuit_depth < 1:
+                return RunCircuit(NoisyCircuit(2, [layer(H(0)), OracleCall("O", (0, 1))], 0.2))
+            return Output((t.edges[0].fx, t.edges[-1].outcome))
+
+        ctrl = FunctionController(step)
+        f0 = [(0.5, make_bv("1")), (0.5, make_bv("0"))]
+        f1 = [(1.0, make_bv("0"))]
+        rep = lecam_advantage(ctrl, f0, f1, 0.2)
+        tv, transcripts = per_member_lecam(ctrl, f0, f1, 0.2)
+        assert rep["lhs"] == pytest.approx(0.5, abs=1e-12)
+        assert abs(rep["lhs"] - tv) <= 1e-15
+        assert rep["details"]["transcripts"] == transcripts
+
+    def test_exact_mode_steps_once_per_tree_node(self):
+        ctrl = CountingController(adaptive_controller(np.random.default_rng(4), 0.2))
+        exact_leaf_distribution(ctrl, make_bv("1"), 0.2)
+        nodes, ctrl.calls = ctrl.calls, 0
+        one, zero = make_bv("1"), make_bv("0")
+        lecam_advantage(ctrl, [(0.5, one), (0.5, zero)], [(0.3, one), (0.7, zero)], 0.2)
+        assert nodes == 1 + 4 + 16
+        assert ctrl.calls == nodes
 
     def test_family_validation(self):
         circ = NoisyCircuit(2, [OracleCall("O", (0, 1))], 0.1)
