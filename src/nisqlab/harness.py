@@ -98,14 +98,24 @@ class Transcript:
         return sum(e.runtime_units for e in self.edges if isinstance(e, CircuitEdge))
 
     def to_json_lines(self) -> str:
-        def record(e: Edge) -> str:
+        lines = []
+        for e in self.edges:
             if isinstance(e, ClassicalEdge):
-                return json.dumps({"kind": "classical", "x": e.x, "fx": e.fx})
-            fields = {"kind": "circuit", "circuit": e.circuit_key, "outcome": e.outcome,
-                      "oracle_calls": e.oracle_calls, "runtime_units": e.runtime_units}
-            return json.dumps(fields, sort_keys=True)
-
-        return "\n".join(map(record, self.edges))
+                lines.append(json.dumps({"kind": "classical", "x": e.x, "fx": e.fx}))
+            else:
+                lines.append(
+                    json.dumps(
+                        {
+                            "kind": "circuit",
+                            "circuit": e.circuit_key,
+                            "outcome": e.outcome,
+                            "oracle_calls": e.oracle_calls,
+                            "runtime_units": e.runtime_units,
+                        },
+                        sort_keys=True,
+                    )
+                )
+        return "\n".join(lines)
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_json_lines().encode()).hexdigest()[:16]
@@ -244,39 +254,46 @@ def _walk_tree(controller, views, noise, step_budget, depth_cap, leaf_cap, child
     """Walk the controller's learning tree with one path probability per
     (circuit bindings, classical view) pair in `views`.
 
-    A classical query branches over the views' distinct answers, with
-    probability 1 under the views giving each and 0 under the rest.  A
-    stamped circuit branches over `children(circuit, bindings)`, its
-    (outcome, per-view probability) pairs.  Returns the leaves (transcript
-    -> path probabilities) and their answers.
+    A view stays alive on a path while every factor on it is nonzero, and
+    the walk drops a branch on which no view is alive.  A classical query
+    branches over the live views' distinct answers, with factor 1 under the
+    views giving each and 0 under the rest.  A stamped circuit branches over
+    `children(circuit, bindings)`, its (outcome, per-view factor) pairs.
+    Returns the leaves (transcript -> (path probabilities, live flags)) and
+    their answers.
     """
     bindings, classicals = zip(*views)
     controller = controller.clone()
-    leaves: dict[Transcript, tuple[float, ...]] = {}
+    leaves: dict[Transcript, tuple[tuple[float, ...], tuple[bool, ...]]] = {}
     answers: dict[Transcript, object] = {}
-    stack = [(Transcript(), (1.0,) * len(views))]
+    stack = [(Transcript(), (1.0,) * len(views), (True,) * len(views))]
     while stack:
-        transcript, ps = stack.pop()
+        transcript, ps, alive = stack.pop()
         if len(transcript) >= step_budget:
             raise CapacityError(f"controller did not output within the step budget of {step_budget}")
         action = controller.step(transcript)
         if isinstance(action, Output):
             if len(leaves) >= leaf_cap:
                 raise CapacityError(f"more than {leaf_cap} leaves")
-            leaves[transcript] = ps
+            leaves[transcript] = ps, alive
             answers[transcript] = action.answer
             continue
         if isinstance(action, ClassicalQuery):
             if None in classicals:
                 raise UsageError("controller made a classical query but the oracle has no classical view")
             x = int(action.x)
-            fx = {c: c.evaluate(x) for c in dict.fromkeys(classicals)}
-            got = [fx[c] for c in classicals]
-            branches = [(ClassicalEdge(x, v), tuple(float(g == v) for g in got)) for v in sorted(set(got))]
+            answering = dict.fromkeys(view for view, a in zip(classicals, alive) if a)
+            fx = {c: c.evaluate(x) for c in answering}
+            branches = [
+                (ClassicalEdge(x, v), tuple(float(fx.get(c) == v) for c in classicals))
+                for v in sorted(set(fx.values()))
+            ]
         elif isinstance(action, RunCircuit):
             circuit = _stamped(action.circuit, noise)
             if len(circuit.steps) > depth_cap:
-                raise CapacityError(f"circuit depth {len(circuit.steps)} exceeds the cap {depth_cap}")
+                raise CapacityError(
+                    f"circuit depth {len(circuit.steps)} exceeds the cap {depth_cap}"
+                )
             key = f"{circuit_fingerprint(circuit):015x}"
             calls = sum(1 for s in circuit.steps if isinstance(s, OracleCall))
             units = circuit.n_qubits * len(circuit.steps)
@@ -284,9 +301,11 @@ def _walk_tree(controller, views, noise, step_budget, depth_cap, leaf_cap, child
         else:
             raise UsageError(f"controller returned {type(action).__name__}, not an action")
         for edge, factors in branches:
-            stack.append((transcript.with_edge(edge), tuple(p * f for p, f in zip(ps, factors))))
-            if len(stack) + len(leaves) > leaf_cap:
-                raise CapacityError(f"branching exceeded {leaf_cap} paths")
+            live = tuple(a and f != 0.0 for a, f in zip(alive, factors))
+            if any(live):
+                stack.append((transcript.with_edge(edge), tuple(p * f for p, f in zip(ps, factors)), live))
+                if len(stack) + len(leaves) > leaf_cap:
+                    raise CapacityError(f"branching exceeded {leaf_cap} paths")
     return leaves, answers
 
 
@@ -405,7 +424,7 @@ def exact_leaf_distribution(
     """
     views = [_oracle_views(oracle)]
     leaves, answers, _ = _enumerate_tree(controller, views, noise, step_budget, depth_cap, leaf_cap)
-    return LeafDistribution({t: p for t, (p,) in leaves.items()}, answers)
+    return LeafDistribution({t: p for t, ((p,), _) in leaves.items()}, answers)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +474,8 @@ def lecam_advantage(
         for family, mix in zip(members, (mix0, mix1)):
             for weight, oracle in family:
                 j = column[id(oracle)]
-                for t, ps in leaves.items():
-                    if ps[j] > 0.0:
+                for t, (ps, alive) in leaves.items():
+                    if alive[j]:
                         mix[t] = mix.get(t, 0.0) + weight * ps[j]
         tv = dict_tv(mix0, mix1)
         slack = 0.0
@@ -523,7 +542,7 @@ def perturbation_check(
         default=0.0,
     )
     depth = max((t.circuit_depth for t in leaves), default=0)
-    leaf_tv = 0.5 * sum(abs(p0 - p1) for p0, p1 in leaves.values())
+    leaf_tv = 0.5 * sum(abs(p0 - p1) for (p0, p1), _ in leaves.values())
     bound = epsilon * depth
     return make_report(
         "leaf TV within per-node drift times circuit depth",

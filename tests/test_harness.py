@@ -15,6 +15,7 @@ import pytest
 import nisqlab
 from nisqlab.algorithms import (
     BVRunConfig,
+    bv_circuit,
     grover_circuit,
     lifted_simon_template,
     lifted_simon_tv,
@@ -414,6 +415,36 @@ class TestLeCam:
         lecam_advantage(ctrl, [(0.5, one), (0.5, zero)], [(0.3, one), (0.7, zero)], 0.2)
         assert nodes == 1 + 4 + 16
         assert ctrl.calls == nodes
+
+    def test_disjoint_supports_walk_each_member_path_once(self):
+        # noiseless BV: every member's tree is one path, and the members' outcomes differ
+        circ = bv_circuit(3, 0.0)
+        secrets = ["".join(bits) for bits in itertools.product("01", repeat=3)]
+        f0 = [(1 / 8, make_bv(s)) for s in secrets]
+        f1 = [(1.0, make_bv("000"))]
+        ctrl = CountingController(run_then_output(circ, depth=7))
+        for _, oracle in f0 + f1:
+            exact_leaf_distribution(ctrl, oracle, 0.0)
+        member_nodes, ctrl.calls = ctrl.calls, 0
+        rep = lecam_advantage(ctrl, f0, f1, 0.0)
+        assert member_nodes == 9 * 8
+        assert ctrl.calls <= member_nodes
+        tv, transcripts = per_member_lecam(ctrl, f0, f1, 0.0)
+        assert rep["lhs"] == tv == pytest.approx(7 / 8, abs=1e-12)
+        assert rep["details"]["transcripts"] == transcripts == 8
+
+    def test_differing_classical_answers_walk_each_member_path_once(self):
+        # k queries on which two members differ: two paths, not 2^k
+        def step(t):
+            if len(t) < 6:
+                return ClassicalQuery(1)
+            return Output(t.edges[-1].fx)
+
+        ctrl = CountingController(FunctionController(step))
+        rep = lecam_advantage(ctrl, [(1.0, make_bv("1"))], [(1.0, make_bv("0"))], 0.0)
+        assert ctrl.calls == 2 * 7 - 1
+        assert rep["lhs"] == 1.0
+        assert rep["details"]["transcripts"] == 2
 
     def test_family_validation(self):
         circ = NoisyCircuit(2, [OracleCall("O", (0, 1))], 0.1)
