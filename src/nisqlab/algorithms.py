@@ -30,8 +30,6 @@ from .oracles import (
 )
 from .qsim import (
     CNOT,
-    DENSITY_QUBIT_CAP,
-    STATEVECTOR_QUBIT_CAP,
     DensityMatrix,
     Gate,
     GateLayer,
@@ -186,11 +184,17 @@ def run_noisy_bv(
     threads: int = 1,
 ) -> str:
     """Estimate the secret: M noisy runs, per-bit majority over outcomes."""
-    m = bv_repetitions(cfg)
-    counts = bv_outcome_counts(cfg, oracle, m, seed=seed, backend=backend, threads=threads)
-    ones = np.zeros(cfg.n, dtype=np.int64)
+    counts = bv_outcome_counts(cfg, oracle, bv_repetitions(cfg), seed=seed, backend=backend, threads=threads)
+    return majority_vote(counts, cfg.n)
+
+
+def majority_vote(counts: dict[str, int], n: int) -> str:
+    """Per-bit majority of the first n bits over counted outcome words; a
+    tie reads 0."""
+    ones = np.zeros(n, dtype=np.int64)
     for word, c in counts.items():
-        ones += c * str_to_arr(word[: cfg.n]).astype(np.int64)
+        ones += c * str_to_arr(word[:n]).astype(np.int64)
+    m = sum(counts.values())
     return "".join("1" if o > m / 2 else "0" for o in ones)
 
 
@@ -366,14 +370,13 @@ def shadow_distinguish(
     pauli: str,
     noise,
     queries: int,
-    strategy: str = "pauli",
     mode: str = "exact",
     trials: int = 4000,
     seed: int | None = None,
 ) -> DistinguishResult:
     """Distinguish (I + P)/2^n from I/2^n with noisy single-copy queries.
 
-    Each query hands the strategy one depolarized copy; measuring in P's
+    Each query hands the learner one depolarized copy; measuring in P's
     eigenbasis yields a +/-1 sample with mean tr(P D[rho]).  Exact mode
     computes the advantage of the N-sample count statistic; sampled mode
     estimates it empirically.  The per-query trace-norm difference is
@@ -383,8 +386,6 @@ def shadow_distinguish(
     noise = _as_noise_rate(noise)
     if n > SHADOW_EXACT_CAP:
         raise CapacityError(f"exact distinguishing caps at {SHADOW_EXACT_CAP} qubits")
-    if strategy != "pauli":
-        raise UsageError(f"unknown strategy {strategy!r}")
     if queries < 1:
         raise UsageError("need at least one query")
     rho1 = depolarize_all(
@@ -444,10 +445,6 @@ def lifted_simon_tv(
     """Exact TV between template outputs under the lifted function vs the
     identity oracle, against the damping bound 4 N exp(-lambda n / 4)."""
     noise = _as_noise_rate(noise)
-    if 3 * n > DENSITY_QUBIT_CAP:
-        raise CapacityError(
-            f"lifted template needs 3n <= {DENSITY_QUBIT_CAP} qubits, got {3 * n}"
-        )
     template = lifted_simon_template(n, queries, noise)
     lifted, zero = lifted_simon_bindings(n, s or "1" * n, resolve_seed(seed))
     d_lift = exact_output_distribution(template, lifted)
@@ -509,29 +506,15 @@ def generate_noisy_parity(
     n = oracle.n_in
     noise = _as_noise_rate(noise)
     seed = resolve_seed(seed)
-    if oracle.m_out == 1:
-        circuit = NoisyCircuit(
-            n + 1,
-            [layer(*[H(i) for i in range(n)]), OracleCall("O", tuple(range(n + 1)))],
-            noise,
-        )
-        counts = sample_outcomes(
-            circuit, {"O": lift_to_unitary(oracle)}, seed=seed, shots=samples, threads=threads
-        )
-        pairs = [(word[:n], int(word[n])) for word, c in counts.items() for _ in range(c)]
-    elif oracle.m_out == n:
-        if 2 * n > STATEVECTOR_QUBIT_CAP:
-            raise CapacityError(f"Simon-style sampling needs 2n <= {STATEVECTOR_QUBIT_CAP}")
-        h_in = layer(*[H(i) for i in range(n)])
-        circuit = NoisyCircuit(
-            2 * n, [h_in, OracleCall("O", tuple(range(2 * n))), h_in], noise
-        )
-        counts = sample_outcomes(
-            circuit, {"O": lift_to_unitary(oracle)}, seed=seed, shots=samples, threads=threads
-        )
-        pairs = [(word[:n], 0) for word, c in counts.items() for _ in range(c)]
-    else:
+    labelled = oracle.m_out == 1
+    if not labelled and oracle.m_out != n:
         raise UsageError("oracle must output 1 bit (explicit labels) or n bits (Simon style)")
+    h_in = layer(*[H(i) for i in range(n)])
+    wires = tuple(range(n + oracle.m_out))
+    steps = [h_in, OracleCall("O", wires)] + ([] if labelled else [h_in])
+    circuit = NoisyCircuit(len(wires), steps, noise)
+    counts = sample_outcomes(circuit, {"O": lift_to_unitary(oracle)}, seed=seed, shots=samples, threads=threads)
+    pairs = [(word[:n], int(word[n]) if labelled else 0) for word, c in counts.items() for _ in range(c)]
     eta = None
     if true_s is not None:
         s_int = bits_to_int(true_s)

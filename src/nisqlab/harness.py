@@ -17,11 +17,12 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import str_to_arr
+from .algorithms import bv_circuit, bv_repetitions, majority_vote
 from .errors import CapacityError, UsageError
 from .metrics import dict_tv
 from .oracles import ClassicalOracle, OracleBinding, lift_to_unitary
@@ -193,8 +194,6 @@ class BVMajorityController(Controller):
     """
 
     def __init__(self, cfg):
-        from .algorithms import bv_circuit, bv_repetitions
-
         self.cfg = cfg
         self.repetitions = bv_repetitions(cfg)
         self.circuit = bv_circuit(cfg.n, cfg.noise)
@@ -203,11 +202,7 @@ class BVMajorityController(Controller):
         # every edge is a run of the one circuit
         if len(transcript) < self.repetitions:
             return RunCircuit(self.circuit)
-        ones = np.zeros(self.cfg.n, dtype=np.int64)
-        for e in transcript.edges:
-            ones += str_to_arr(e.outcome[: self.cfg.n]).astype(np.int64)
-        m = self.repetitions
-        return Output("".join("1" if o > m / 2 else "0" for o in ones))
+        return Output(majority_vote(Counter(e.outcome for e in transcript.edges), self.cfg.n))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +253,8 @@ def _walk_tree(controller, views, noise, step_budget, depth_cap, leaf_cap, child
     the walk drops a branch on which no view is alive.  A classical query
     branches over the live views' distinct answers, with factor 1 under the
     views giving each and 0 under the rest.  A stamped circuit branches over
-    `children(circuit, bindings)`, its (outcome, per-view factor) pairs.
+    `children(circuit, bindings, alive)`, its (outcome, per-view factor)
+    pairs; a view dead on the path may get any factor.
     Returns the leaves (transcript -> (path probabilities, live flags)) and
     their answers.
     """
@@ -297,7 +293,7 @@ def _walk_tree(controller, views, noise, step_budget, depth_cap, leaf_cap, child
             key = f"{circuit_fingerprint(circuit):015x}"
             calls = sum(1 for s in circuit.steps if isinstance(s, OracleCall))
             units = circuit.n_qubits * len(circuit.steps)
-            branches = [(CircuitEdge(key, o, calls, units), f) for o, f in children(circuit, bindings)]
+            branches = [(CircuitEdge(key, o, calls, units), f) for o, f in children(circuit, bindings, alive)]
         else:
             raise UsageError(f"controller returned {type(action).__name__}, not an action")
         for edge, factors in branches:
@@ -343,7 +339,7 @@ def run_controller(
     views = [_oracle_views(oracle)]
     streams: dict[int, object] = {}
 
-    def next_outcome(circuit, bindings):
+    def next_outcome(circuit, bindings, alive):
         key = circuit_fingerprint(circuit)
         if key not in streams:
             streams[key] = sample_stream(circuit, bindings[0], seed=master)
@@ -390,21 +386,25 @@ class LeafDistribution:
         return "transcript_hash,probability\n" + body + "\n"
 
 
+def _support(dists) -> list[str]:
+    return sorted(set().union(*(d.probabilities for d in dists)))
+
+
 def _enumerate_tree(controller, views, noise, step_budget, depth_cap, leaf_cap):
-    """The all-branch walk over the union of the views' exact supports; also
-    returns, per circuit fingerprint, the (outcome, per-view probability)
-    pairs of the sorted joint support."""
-    nodes: dict[int, list] = {}
+    """The all-branch walk over the union of the live views' exact supports.
+    Also returns, per circuit fingerprint, the circuit and each view's exact
+    output distribution, computed only where that view is live (else None)."""
+    nodes: dict[int, tuple] = {}
 
-    def joint_support(circuit, bindings):
-        key = circuit_fingerprint(circuit)
-        if key not in nodes:
-            dists = [exact_output_distribution(circuit, b) for b in bindings]
-            support = sorted(set().union(*(d.probabilities for d in dists)))
-            nodes[key] = [(o, tuple(d.get(o) for d in dists)) for o in support]
-        return nodes[key]
+    def live_support(circuit, bindings, alive):
+        _, dists = nodes.setdefault(circuit_fingerprint(circuit), (circuit, [None] * len(bindings)))
+        for j, b in enumerate(bindings):
+            if alive[j] and dists[j] is None:
+                dists[j] = exact_output_distribution(circuit, b)
+        live = [d for d, a in zip(dists, alive) if a]
+        return [(o, tuple(d.get(o) if a else 0.0 for d, a in zip(dists, alive))) for o in _support(live)]
 
-    leaves, answers = _walk_tree(controller, views, noise, step_budget, depth_cap, leaf_cap, joint_support)
+    leaves, answers = _walk_tree(controller, views, noise, step_budget, depth_cap, leaf_cap, live_support)
     return leaves, answers, nodes
 
 
@@ -537,10 +537,13 @@ def perturbation_check(
     bindings, classical = _oracle_views(oracle)
     views = [(bindings, classical), (_oracle_views(substitute)[0], classical)]
     leaves, _, nodes = _enumerate_tree(controller, views, noise, step_budget, depth_cap, leaf_cap)
-    epsilon = max(
-        (0.5 * sum(abs(p0 - p1) for _, (p0, p1) in kids) for kids in nodes.values()),
-        default=0.0,
-    )
+
+    def node_tv(circuit, dists) -> float:
+        # both trees' child distributions, also where one tree never runs the node
+        d0, d1 = (exact_output_distribution(circuit, v[0]) if d is None else d for d, v in zip(dists, views))
+        return 0.5 * sum(abs(d0.get(o) - d1.get(o)) for o in _support((d0, d1)))
+
+    epsilon = max((node_tv(*node) for node in nodes.values()), default=0.0)
     depth = max((t.circuit_depth for t in leaves), default=0)
     leaf_tv = 0.5 * sum(abs(p0 - p1) for (p0, p1), _ in leaves.values())
     bound = epsilon * depth

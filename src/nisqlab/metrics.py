@@ -31,6 +31,7 @@ from .qsim import (
     replace_register,
 )
 from .reporting import make_report
+from .seeding import rng_for
 
 PROJECTION_QUBIT_CAP = 8
 SUBSET_SEPARATION_BIT_CAP = 24
@@ -184,11 +185,9 @@ def check_info_decay(circuit: NoisyCircuit, oracle_bindings=None) -> dict:
     for step in circuit.steps:
         if not isinstance(step, GateLayer):
             binding = _resolve_binding(oracle_bindings, step)
-            if not getattr(binding, "is_unitary", True):
+            if not binding.is_unitary:
                 raise UsageError("info decay requires unitary oracle bindings")
     layers = []
-    worst_gap = -math.inf
-    worst = None
     t = 0
     for op, rho in _walk_density(circuit, oracle_bindings):
         if op is not None:
@@ -199,15 +198,12 @@ def check_info_decay(circuit: NoisyCircuit, oracle_bindings=None) -> dict:
         layers.append(
             {"t": t, "information": info, "bound": bound, "holds": info <= bound + CHECK_TOL}
         )
-        if info - bound > worst_gap:
-            worst_gap = info - bound
-            worst = (info, bound)
-    holds = all(entry["holds"] for entry in layers)
+    worst = max(layers, key=lambda entry: entry["information"] - entry["bound"])
     return make_report(
         "information decays as (1 - lam)^t * n under noise layers",
-        worst[0],
-        worst[1],
-        holds,
+        worst["information"],
+        worst["bound"],
+        all(entry["holds"] for entry in layers),
         CHECK_TOL,
         layers=layers,
         n_qubits=n,
@@ -344,7 +340,7 @@ def check_hybrid_bound(
             before = rho
         finals.append(DensityMatrix(n, rho.reshape(2**n, 2**n), check_psd=False).outcome_distribution())
     p0, p1 = finals
-    rng = np.random.default_rng([seed, 0x4879])
+    rng = rng_for(seed, 0x4879)
     for _ in range(trials):
         v = haar_unitary(2**n, rng)[:, 0]
         probes.append(DensityMatrix(n, np.outer(v, v.conj()), check_psd=False))
@@ -395,7 +391,7 @@ def check_random_subset_separation(
         raise UsageError("delta must lie in (0, 1)")
     if trials < 1:
         raise UsageError(f"trials must be positive, got {trials}")
-    rng = np.random.default_rng([seed, 0x5EB5])
+    rng = rng_for(seed, 0x5EB5)
     bound = separation_bound(m_bits, size, delta)
     violations = 0
     min_dists = []

@@ -17,6 +17,7 @@ import numpy as np
 from .bits import extract_field, spread_field
 from .errors import CapacityError, UsageError
 from .qsim import (
+    DENSITY_QUBIT_CAP,
     PAULI_MATRICES,
     DensityMatrix,
     OracleBinding,
@@ -26,6 +27,7 @@ from .seeding import rng_for
 
 ORACLE_TABLE_CAP = 22  # max input bits for explicit truth tables
 SIMON_TABLE_CAP = 12  # beyond this, the seeded-bijection construction
+SIMON_WIDTH_CAP = 63  # the bijection draws and mixes int64 words
 SHUFFLING_WIDTH_CAP = 20
 
 
@@ -115,7 +117,6 @@ class PermutationBinding(OracleBinding):
     serves the gathers of the state backends and the basis images.
     """
 
-    is_unitary = True
     is_monomial = True
 
     def __init__(self, oracle, n_wires: int):
@@ -234,19 +235,13 @@ def make_simon(spec: SimonSpec) -> ClassicalOracle:
     n composes seeded bijective mixing rounds so no 2^n table is stored.
     """
     n, s = spec.n, spec.s_int
+    if n > SIMON_WIDTH_CAP:
+        raise CapacityError(f"Simon width {n} exceeds cap {SIMON_WIDTH_CAP}")
     if n <= SIMON_TABLE_CAP:
-        rng = rng_for(spec.seed, 0x51)
-        if s == 0:
-            table = rng.permutation(2**n).astype(np.int64)
-        else:
-            images = rng.permutation(2**n).astype(np.int64)
-            table = np.empty(2**n, dtype=np.int64)
-            class_of: dict[int, int] = {}
-            for x in range(2**n):
-                rep = min(x, x ^ s)
-                if rep not in class_of:
-                    class_of[rep] = len(class_of)
-                table[x] = images[class_of[rep]]
+        # pair {x, x ^ s} takes the image at its representative's rank
+        images = rng_for(spec.seed, 0x51).permutation(2**n).astype(np.int64)
+        x = np.arange(2**n, dtype=np.int64)
+        table = images[np.unique(np.minimum(x, x ^ s), return_inverse=True)[1]]
         return ClassicalOracle(
             n, n, lambda x: int(table[x]), f"simon-{spec.s}", fn_vec=lambda xs: table[xs]
         )
@@ -400,9 +395,8 @@ def apply_state_oracle(sigma: DensityMatrix, so: StateOracle, state_register) ->
         raise UsageError(f"state register has {len(positions)} qubits, oracle needs {so.n}")
     if positions and not (0 <= positions[0] and positions[-1] < sigma.n_qubits):
         raise UsageError("state register outside the register range")
-    so.query_counter.increment()
-    out = replace_register(sigma.tensor(), sigma.n_qubits, positions, so.density())
     n = sigma.n_qubits
+    out = StateOracleBinding(so).apply_density(sigma.tensor(), positions, n)
     return DensityMatrix(n, out.reshape(2**n, 2**n), check_psd=False)
 
 
@@ -521,9 +515,7 @@ class ShufflingBinding(PermutationBinding):
         tag = r >> (2 * w)
         x = (r >> w) & (2**w - 1)
         stack = np.zeros((2**t, 2**w), dtype=np.int64)
-        for i, lvl in enumerate(o.levels()):
-            stack[i] = lvl
-        stack[o.depth] = o.final_table()
+        stack[: o.depth + 1] = o.levels() + [o.final_table()]
         return r ^ stack[tag, x]
 
 
@@ -539,8 +531,6 @@ def shuffling_channel(
     The true channel averages over all bijection tuples; that support is far
     too large, so a fixed K approximates it (K is echoed in the info dict).
     """
-    from .qsim import DENSITY_QUBIT_CAP
-
     probe = ShufflingOracle(f, d, seed=0)
     n_reg = probe.n_register_qubits
     if n_reg > DENSITY_QUBIT_CAP:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import extract_field, spread_field
+from .bits import extract_field, int_to_bits, spread_field
 from .errors import CapacityError, UsageError
 from .seeding import rng_for
 
@@ -217,10 +217,6 @@ class NoisyCircuit:
             if bad:
                 raise UsageError(f"step references qubits {bad} outside [0, {self.n_qubits})")
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.steps)
-
     def schedule(self) -> tuple["CircuitStep | None", ...]:
         """The steps in order, None marking a noise layer.
 
@@ -255,10 +251,6 @@ class NoisyCircuit:
 # ---------------------------------------------------------------------------
 # state data types
 # ---------------------------------------------------------------------------
-
-
-def _bitstring(index: int, n: int) -> str:
-    return format(index, f"0{n}b")
 
 
 @dataclass(frozen=True)
@@ -370,7 +362,7 @@ class OutcomeDistribution:
     def from_array(cls, n_bits: int, probs: np.ndarray) -> "OutcomeDistribution":
         # entries below 1e-14 are float dust from the backends; drop them
         probs = np.asarray(probs, dtype=float)
-        return cls(n_bits, {_bitstring(i, n_bits): float(p) for i, p in enumerate(probs) if p > 1e-14})
+        return cls(n_bits, {int_to_bits(i, n_bits): float(p) for i, p in enumerate(probs) if p > 1e-14})
 
     @classmethod
     def from_counts(cls, n_bits: int, counts: dict[str, int]) -> "OutcomeDistribution":
@@ -540,12 +532,15 @@ class OracleBinding:
     """Interface oracles implement to act inside circuits.
 
     Tensors may carry a leading batch axis (statevector case); `wires` are
-    circuit qubit indices in the oracle's register order.  A binding whose
-    unitary maps basis states to phased basis states sets `is_monomial` and
-    gives `apply_basis`: the images of a batch of basis-state indices.
+    circuit qubit indices in the oracle's register order.  A binding that
+    is not a unitary channel (a state replacement) clears `is_unitary`.  A
+    binding whose unitary maps basis states to phased basis states sets
+    `is_monomial` and gives `apply_basis`: the images of a batch of
+    basis-state indices.
     """
 
     n_wires: int
+    is_unitary = True
     is_monomial = False
 
     def apply_statevector(self, tensor: np.ndarray, wires: tuple[int, ...], n_qubits: int) -> np.ndarray:
@@ -804,7 +799,7 @@ def sample_outcomes(
     counts: dict[str, int] = {}
     values, reps = np.unique(np.concatenate(parts), return_counts=True)
     for v, r in zip(values, reps):
-        counts[_bitstring(int(v), n)] = int(r)
+        counts[int_to_bits(int(v), n)] = int(r)
     return counts
 
 
@@ -823,7 +818,7 @@ def sample_stream(circuit: NoisyCircuit, oracle_bindings=None, seed: int = 0):
         while start < chunk:
             stop = min(chunk, max(64, 2 * start))
             for v in _sample_chunk(circuit, oracle_bindings, seed, stream_key, ci, start, stop):
-                yield _bitstring(int(v), n)
+                yield int_to_bits(int(v), n)
             start = stop
 
 
@@ -839,7 +834,7 @@ def sample_trajectory(
     n = circuit.n_qubits
     ci, row = divmod(int(index), _chunk_rows(n))
     vals = _sample_chunk(circuit, oracle_bindings, seed, circuit_fingerprint(circuit), ci, row, row + 1)
-    return _bitstring(int(vals[0]), n)
+    return int_to_bits(int(vals[0]), n)
 
 
 # ---------------------------------------------------------------------------

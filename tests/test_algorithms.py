@@ -383,6 +383,15 @@ class TestNoisyParityGeneration:
         assert abs(inst.eta - eta) <= 3 * math.sqrt(eta * (1 - eta) / 4000)
         assert inst.eta < 0.5
 
+    def test_simon_style_past_the_trajectory_cap(self):
+        # 2n = 24 wires: the trajectory backend refuses before building a state
+        from nisqlab.oracles import SimonSpec, make_simon
+
+        f = make_simon(SimonSpec(12, "1" * 12, seed=1))
+        with pytest.raises(CapacityError, match="trajectory backend"):
+            generate_noisy_parity(f, 0.1, 10, seed=1)
+        assert f.query_counter.value == 0
+
     def test_rejects_other_arities(self):
         from nisqlab.oracles import ClassicalOracle
 

@@ -121,6 +121,16 @@ def test_simulate_capacity_exit_code(tmp_path):
     assert cli.main(["simulate", "--circuit", str(circ), "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("name", ["lifted-simon-tv", "lecam"])
+@pytest.mark.parametrize("n", ["4", "64"])
+def test_lifted_simon_width_capacity_exit(tmp_path, capsys, name, n):
+    # refused by the density backend (3n > 10) or by the Simon construction (n > 63)
+    assert cli.main(["experiment", name, "--n", n, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: ") and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_missing_circuit_usage(tmp_path):
     assert cli.main(["simulate", "--out", str(tmp_path)]) == 2
     assert cli.main(["simulate", "--circuit", str(tmp_path / "nope.json")]) == 2

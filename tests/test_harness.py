@@ -151,14 +151,21 @@ class TestRunController:
         assert r.queries == 0 and r.runtime_units == 0
         assert r.answer == 42
 
-    @pytest.mark.parametrize("seed", [0, 1, 7, 99])
-    def test_bv_controller_matches_direct_estimator(self, seed):
+    @pytest.mark.parametrize(
+        "seed, repetitions", [(0, 0), (1, 0), (7, 0), (99, 0), (1, 2)], ids=["0", "1", "7", "99", "tie"]
+    )
+    def test_bv_controller_matches_direct_estimator(self, seed, repetitions):
         # same circuit, same seed, same outcome stream: answers agree run for run
-        cfg = BVRunConfig(6, 0.03, 0.01)
+        cfg = BVRunConfig(6, 0.03, 0.01, repetitions)
         oracle = make_bv("101101")
         direct = run_noisy_bv(cfg, oracle, seed=seed)
         res = run_controller(BVMajorityController(cfg), oracle, cfg.noise, seed=seed)
         assert res.answer == direct
+        if repetitions == 2:
+            # the two runs disagree on some bit, and both callers read the tie as 0
+            a, b = (e.outcome[:6] for e in res.transcript.edges)
+            assert a != b
+            assert direct == "".join(x if x == y else "0" for x, y in zip(a, b))
 
     def test_stream_prefix_matches_batch_sampler(self):
         circ = NoisyCircuit(3, [layer(H(0), H(1)), OracleCall("O", (0, 1, 2))], 0.2)
@@ -445,6 +452,30 @@ class TestLeCam:
         assert ctrl.calls == 2 * 7 - 1
         assert rep["lhs"] == 1.0
         assert rep["details"]["transcripts"] == 2
+
+    def test_members_simulate_only_nodes_they_reach(self):
+        # the second circuit depends on the first outcome's data bit, which
+        # tells the members apart: each member runs only its own second circuit
+        second = {
+            "1": NoisyCircuit(2, [layer(H(0)), OracleCall("O", (0, 1))], 0.0),
+            "0": NoisyCircuit(2, [OracleCall("O", (0, 1))], 0.0),
+        }
+
+        def step(t):
+            if len(t) == 0:
+                return RunCircuit(bv_circuit(1, 0.0))
+            if len(t) == 1:
+                return RunCircuit(second[t.edges[0].outcome[0]])
+            return Output(t.edges[-1].outcome)
+
+        one, zero = make_bv("1"), make_bv("0")
+        rep = lecam_advantage(FunctionController(step), [(1.0, one)], [(1.0, zero)], 0.0)
+        assert (one.query_counter.value, zero.query_counter.value) == (2, 2)
+        assert rep["lhs"] == 0.9999999999999992
+        # the perturbation check still compares both trees at every node
+        pert = perturbation_check(FunctionController(step), make_bv("1"), make_bv("0"), 0.0)
+        assert (pert["lhs"], pert["rhs"]) == (0.9999999999999992, 1.9999999999999987)
+        assert (pert["details"]["depth"], pert["details"]["leaves"]) == (2, 3)
 
     def test_family_validation(self):
         circ = NoisyCircuit(2, [OracleCall("O", (0, 1))], 0.1)

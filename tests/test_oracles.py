@@ -34,6 +34,7 @@ from nisqlab.qsim import (
     layer,
     sample_outcomes,
 )
+from nisqlab.seeding import rng_for
 
 
 def constant_oracle(n_in: int, m_out: int, value: int = 0) -> ClassicalOracle:
@@ -136,6 +137,18 @@ class TestSimon:
         _, counts = np.unique(g.table(), return_counts=True)
         assert set(counts.tolist()) == {1}
 
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_table_matches_pairing_loop(self, seed):
+        # reference: number the pairs {x, x ^ s} in order of first appearance;
+        # pair k takes the k-th value of the seeded permutation
+        for n in range(1, 11):
+            for s in sorted({0, 1, 2**n - 1, (0b1011 * seed + 5) % 2**n}):
+                images = rng_for(seed, 0x51).permutation(2**n)
+                rank: dict[int, int] = {}
+                expected = [int(images[rank.setdefault(min(x, x ^ s), len(rank))]) for x in range(2**n)]
+                table = make_simon(SimonSpec(n, format(s, f"0{n}b"), seed)).table()
+                assert table.tolist() == expected, (n, s)
+
     def test_large_instance_uses_bijective_mixing(self):
         spec = SimonSpec(14, "0" * 13 + "1", seed=5)
         f = make_simon(spec)
@@ -152,6 +165,14 @@ class TestSimon:
     def test_spec_validation(self):
         with pytest.raises(UsageError):
             SimonSpec(3, "01")
+
+    def test_width_past_int64_mixing(self):
+        # the bijection's words are int64: 63 bits build, 64 is refused
+        f = make_simon(SimonSpec(63, "1" * 63, seed=1))
+        pair = np.array([5, 5 ^ (2**63 - 1)], dtype=np.int64)
+        assert f.fn(int(pair[0])) == f.fn(int(pair[1])) == f.fn_vec(pair)[0] == f.fn_vec(pair)[1]
+        with pytest.raises(CapacityError, match="Simon width 64"):
+            make_simon(SimonSpec(64, "1" * 64, seed=1))
 
 
 class TestBV:
