@@ -147,44 +147,28 @@ def bv_outcome_counts(
     oracle: ClassicalOracle,
     runs: int,
     seed: int | None = None,
-    backend: str = "auto",
     threads: int = 1,
 ) -> dict[str, int]:
     """Outcome counts of `runs` independent noisy executions.
 
-    The fast backend samples the circuit's exact outcome law for a linear f,
-    so it serves only oracles that declare their secret (`make_bv` does);
-    `auto` picks it for those above BV_FAST_QUBIT_MIN qubits and samples
-    every other oracle by trajectory.
+    The circuit's exact outcome law for a linear f serves only oracles that
+    declare their secret (`make_bv` does), above BV_FAST_QUBIT_MIN qubits;
+    every other oracle is sampled by trajectory.
     """
     if oracle.n_in != cfg.n or oracle.m_out != 1:
         raise UsageError(f"need a {cfg.n}-bit single-output oracle")
     seed = resolve_seed(seed)
     secret = oracle.bv_secret
-    if backend == "auto":
-        backend = "fast" if secret is not None and cfg.n + 1 > BV_FAST_QUBIT_MIN else "trajectory"
-    if backend == "trajectory":
-        circuit = bv_circuit(cfg.n, cfg.noise)
-        return sample_outcomes(
-            circuit, {"O": lift_to_unitary(oracle)}, seed=seed, shots=runs, threads=threads
-        )
-    if backend != "fast":
-        raise UsageError(f"unknown backend {backend!r}")
-    if secret is None:
-        raise UsageError(f"the fast backend needs an oracle that declares its secret, not {oracle.name!r}")
-    # distribution-identical to the trajectory backend at any width
-    return _fast_bv_counts(str_to_arr(secret), cfg.noise.value, runs, rng_for(seed, 0x6276))
+    if secret is not None and cfg.n + 1 > BV_FAST_QUBIT_MIN:
+        # distribution-identical to the trajectory sampler at any width
+        return _fast_bv_counts(str_to_arr(secret), cfg.noise.value, runs, rng_for(seed, 0x6276))
+    circuit = bv_circuit(cfg.n, cfg.noise)
+    return sample_outcomes(circuit, {"O": lift_to_unitary(oracle)}, seed=seed, shots=runs, threads=threads)
 
 
-def run_noisy_bv(
-    cfg: BVRunConfig,
-    oracle: ClassicalOracle,
-    seed: int | None = None,
-    backend: str = "auto",
-    threads: int = 1,
-) -> str:
+def run_noisy_bv(cfg: BVRunConfig, oracle: ClassicalOracle, seed: int | None = None, threads: int = 1) -> str:
     """Estimate the secret: M noisy runs, per-bit majority over outcomes."""
-    counts = bv_outcome_counts(cfg, oracle, bv_repetitions(cfg), seed=seed, backend=backend, threads=threads)
+    counts = bv_outcome_counts(cfg, oracle, bv_repetitions(cfg), seed=seed, threads=threads)
     return majority_vote(counts, cfg.n)
 
 
@@ -231,11 +215,13 @@ def diffusion_steps(n: int) -> list[GateLayer]:
     return [h_all, x_all, *phase_on_all_ones_steps(tuple(range(n))), x_all, h_all]
 
 
-def grover_circuit(n: int, iterations: int, noise, oracle_id: str = "G") -> NoisyCircuit:
-    """Uniform init + `iterations` rounds of (phase oracle, diffusion)."""
+def grover_circuit(n: int, iterations: int, noise) -> NoisyCircuit:
+    """Uniform init + `iterations` rounds of (phase oracle "G", diffusion)."""
+    if iterations < 0:
+        raise UsageError(f"iterations must be nonnegative, got {iterations}")
     steps: list = [layer(*[H(i) for i in range(n)])]
     for _ in range(iterations):
-        steps.append(OracleCall(oracle_id, tuple(range(n))))
+        steps.append(OracleCall("G", tuple(range(n))))
         steps.extend(diffusion_steps(n))
     return NoisyCircuit(n, steps, noise)
 
@@ -246,12 +232,7 @@ def grover_ideal_success(n_search: int, iterations: int) -> float:
 
 
 def run_noisy_grover(
-    oracle: GroverOracle,
-    noise,
-    iterations: int,
-    shots: int = 0,
-    seed: int | None = None,
-    threads: int = 1,
+    oracle: GroverOracle, noise, iterations: int, shots: int = 0, seed: int | None = None
 ) -> float:
     """Probability of measuring the marked index; shots = 0 is exact."""
     n_search = oracle.n_search
@@ -263,7 +244,7 @@ def run_noisy_grover(
     target = int_to_bits(oracle.marked, n)
     if shots == 0:
         return exact_output_distribution(circuit, bindings).get(target)
-    counts = sample_outcomes(circuit, bindings, seed=resolve_seed(seed), shots=shots, threads=threads)
+    counts = sample_outcomes(circuit, bindings, seed=resolve_seed(seed), shots=shots)
     return counts.get(target, 0) / shots
 
 
@@ -277,19 +258,17 @@ def grover_zalka_template(n_search: int, iterations: int) -> NoisyCircuit:
     return grover_circuit(n, iterations, 0.0)
 
 
-def random_zalka_template(
-    n_search: int, iterations: int, rng: np.random.Generator, oracle_id: str = "G"
-) -> NoisyCircuit:
+def random_zalka_template(n_search: int, iterations: int, rng: np.random.Generator) -> NoisyCircuit:
     """Random noiseless layers interleaved with `iterations` oracle calls."""
     n = max(1, (n_search - 1).bit_length())
     steps: list = [random_layer(n, rng)]
     for _ in range(iterations):
-        steps.append(OracleCall(oracle_id, tuple(range(n))))
+        steps.append(OracleCall("G", tuple(range(n))))
         steps.append(random_layer(n, rng))
     return NoisyCircuit(n, steps, 0.0)
 
 
-def check_zalka_sum(template: NoisyCircuit, n_search: int, oracle_id: str = "G") -> dict:
+def check_zalka_sum(template: NoisyCircuit, n_search: int) -> dict:
     """Verify sum_i ||phi_i - phi_0||^2 <= 4 T^2 over marked elements i.
 
     phi_i is the exact noiseless output state of the template with the
@@ -297,13 +276,11 @@ def check_zalka_sum(template: NoisyCircuit, n_search: int, oracle_id: str = "G")
     """
     if template.noise.value != 0.0:
         raise UsageError("the query-sum bound is about noiseless templates")
-    queries = sum(
-        1 for s in template.steps if isinstance(s, OracleCall) and s.oracle_id == oracle_id
-    )
+    queries = sum(1 for s in template.steps if isinstance(s, OracleCall) and s.oracle_id == "G")
     states = []
     for i in range(n_search):
         binding = make_grover_phase(GroverOracle(n_search, i))
-        states.append(evolve_statevector(template, {oracle_id: binding}).amplitudes)
+        states.append(evolve_statevector(template, {"G": binding}).amplitudes)
     terms = [float(np.linalg.norm(phi - states[0]) ** 2) for phi in states[1:]]
     total = float(sum(terms))
     bound = 4.0 * queries**2
@@ -400,6 +377,8 @@ def shadow_distinguish(
         advantage = binomial_tv(queries, p1, p0)
         slack = 0.0
     elif mode == "sampled":
+        if trials < 1:
+            raise UsageError(f"sampled mode needs at least one trial, got {trials}")
         rng = rng_for(resolve_seed(seed), 0x5348)
         c1 = np.bincount(rng.binomial(queries, p1, trials), minlength=queries + 1)
         c0 = np.bincount(rng.binomial(queries, p0, trials), minlength=queries + 1)
@@ -523,9 +502,7 @@ def generate_noisy_parity(
     return NoisyParityInstance(n, tuple(pairs), k or n, n if w_max is None else w_max, eta)
 
 
-def solve_noisy_parity_bruteforce(
-    inst: NoisyParityInstance, k: int | None = None, w_max: int | None = None
-) -> str | None:
+def solve_noisy_parity_bruteforce(inst: NoisyParityInstance) -> str | None:
     """Best-agreement candidate with support in the first k bits and weight
     <= w_max; None when the top two scores are closer than 3 sqrt(samples).
 
@@ -533,8 +510,7 @@ def solve_noisy_parity_bruteforce(
     perfectly regardless of the data, and both sample conventions promise a
     nonzero secret in that regime.
     """
-    k = inst.k if k is None else k
-    w_max = inst.w_max if w_max is None else w_max
+    k, w_max = inst.k, inst.w_max
     total = sum(math.comb(k, w) for w in range(w_max + 1))
     if total > PARITY_CANDIDATE_CAP:
         raise CapacityError(f"{total} candidates exceed {PARITY_CANDIDATE_CAP}")

@@ -241,7 +241,7 @@ def sample_codeword(spec: ConcatCodeSpec, b: int, rng: np.random.Generator) -> n
     return _build(spec, b, lambda coset: coset[rng.integers(0, len(coset))])
 
 
-def sample_sparse_flips(spec: ConcatCodeSpec, rng: np.random.Generator, r: int | None = None) -> np.ndarray:
+def sample_sparse_flips(spec: ConcatCodeSpec, rng: np.random.Generator) -> np.ndarray:
     """A random flip pattern the A-sets absorb: per level, at most d
     sub-blocks are corrupted arbitrarily and the rest recurse."""
     base = spec.base
@@ -260,7 +260,7 @@ def sample_sparse_flips(spec: ConcatCodeSpec, rng: np.random.Generator, r: int |
             out[i * sub : (i + 1) * sub] = rng.integers(0, 2, size=sub)
         return out
 
-    return build(spec.r if r is None else r)
+    return build(spec.r)
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +294,9 @@ def robust_simon_eval(x, spec: ConcatCodeSpec, simon: SimonSpec) -> str:
     return arr_to_str(np.repeat((fz >> np.arange(n_prime)[::-1]) & 1, block))
 
 
-def enumerate_codewords(spec: ConcatCodeSpec, b: int, r: int | None = None) -> list[np.ndarray]:
+def enumerate_codewords(spec: ConcatCodeSpec, b: int) -> list[np.ndarray]:
     """All of B^(r)_b; exponential in r, guarded by the state cap."""
-    base = spec.base
-    r = spec.r if r is None else r
+    base, r = spec.base, spec.r
     if base.m**r > STATE_BLOCK_CAP:
         raise CapacityError(f"enumeration over {base.m}^{r} bits exceeds {STATE_BLOCK_CAP}")
 
@@ -313,14 +312,12 @@ def enumerate_codewords(spec: ConcatCodeSpec, b: int, r: int | None = None) -> l
     return build(int(b), r)
 
 
-def codeword_state(spec: ConcatCodeSpec, b: int, r: int | None = None) -> PureState:
+def codeword_state(spec: ConcatCodeSpec, b: int) -> PureState:
     """Uniform superposition over B^(r)_b on m^r qubits."""
-    base = spec.base
-    r = spec.r if r is None else r
-    n = base.m**r
+    n = spec.base.m**spec.r
     if n > STATE_BLOCK_CAP:
         raise CapacityError(f"codeword state needs {n} qubits, cap {STATE_BLOCK_CAP}")
-    words = enumerate_codewords(spec, b, r)
+    words = enumerate_codewords(spec, b)
     amps = np.zeros(2**n, dtype=np.complex128)
     for w in words:
         amps[int(arr_to_str(w), 2)] = 1.0

@@ -36,8 +36,8 @@ from .qsim import (
 from .reporting import make_report
 from .seeding import resolve_seed, rng_for
 
-DEFAULT_STEP_BUDGET = 10_000
-DEFAULT_DEPTH_CAP = 1_000  # steps per submitted circuit; configurable, always reported
+STEP_BUDGET = 10_000
+DEPTH_CAP = 1_000  # steps per submitted circuit; always reported
 LEAF_CAP = 10**6
 
 LECAM_THRESHOLD = 1.0 / 3.0
@@ -150,14 +150,10 @@ class Controller:
 
     step() must be a pure function of the transcript (plus construction-time
     configuration), so the tree enumerator can replay it down every branch.
-    Controllers carrying mutable state must override clone().
     """
 
     def step(self, transcript: Transcript) -> Action:
         raise NotImplementedError
-
-    def clone(self) -> "Controller":
-        return self
 
 
 class FunctionController(Controller):
@@ -186,11 +182,10 @@ class BVMajorityController(Controller):
     times, output the per-bit majority of the data register.
 
     Answer-equivalent, run for run, to `run_noisy_bv` under a shared seed
-    while that estimator samples by trajectory (its `auto` backend does for
-    n <= 14): the harness feeds repeated runs of one circuit from the same
-    outcome stream the batch sampler uses.  Wider registers run here by
-    trajectory too, so they are slow and past the trajectory cap raise
-    CapacityError.
+    while that estimator samples by trajectory (it does for n <= 14): the
+    harness feeds repeated runs of one circuit from the same outcome stream
+    the batch sampler uses.  Wider registers run here by trajectory too, so
+    they are slow and past the trajectory cap raise CapacityError.
     """
 
     def __init__(self, cfg):
@@ -245,7 +240,7 @@ def _stamped(circuit: NoisyCircuit, noise) -> NoisyCircuit:
     return NoisyCircuit(circuit.n_qubits, circuit.steps, noise)
 
 
-def _walk_tree(controller, views, noise, step_budget, depth_cap, leaf_cap, children):
+def _walk_tree(controller, views, noise, children):
     """Walk the controller's learning tree with one path probability per
     (circuit bindings, classical view) pair in `views`.
 
@@ -259,18 +254,17 @@ def _walk_tree(controller, views, noise, step_budget, depth_cap, leaf_cap, child
     their answers.
     """
     bindings, classicals = zip(*views)
-    controller = controller.clone()
     leaves: dict[Transcript, tuple[tuple[float, ...], tuple[bool, ...]]] = {}
     answers: dict[Transcript, object] = {}
     stack = [(Transcript(), (1.0,) * len(views), (True,) * len(views))]
     while stack:
         transcript, ps, alive = stack.pop()
-        if len(transcript) >= step_budget:
-            raise CapacityError(f"controller did not output within the step budget of {step_budget}")
+        if len(transcript) >= STEP_BUDGET:
+            raise CapacityError(f"controller did not output within the step budget of {STEP_BUDGET}")
         action = controller.step(transcript)
         if isinstance(action, Output):
-            if len(leaves) >= leaf_cap:
-                raise CapacityError(f"more than {leaf_cap} leaves")
+            if len(leaves) >= LEAF_CAP:
+                raise CapacityError(f"more than {LEAF_CAP} leaves")
             leaves[transcript] = ps, alive
             answers[transcript] = action.answer
             continue
@@ -286,10 +280,8 @@ def _walk_tree(controller, views, noise, step_budget, depth_cap, leaf_cap, child
             ]
         elif isinstance(action, RunCircuit):
             circuit = _stamped(action.circuit, noise)
-            if len(circuit.steps) > depth_cap:
-                raise CapacityError(
-                    f"circuit depth {len(circuit.steps)} exceeds the cap {depth_cap}"
-                )
+            if len(circuit.steps) > DEPTH_CAP:
+                raise CapacityError(f"circuit depth {len(circuit.steps)} exceeds the cap {DEPTH_CAP}")
             key = f"{circuit_fingerprint(circuit):015x}"
             calls = sum(1 for s in circuit.steps if isinstance(s, OracleCall))
             units = circuit.n_qubits * len(circuit.steps)
@@ -300,8 +292,8 @@ def _walk_tree(controller, views, noise, step_budget, depth_cap, leaf_cap, child
             live = tuple(a and f != 0.0 for a, f in zip(alive, factors))
             if any(live):
                 stack.append((transcript.with_edge(edge), tuple(p * f for p, f in zip(ps, factors)), live))
-                if len(stack) + len(leaves) > leaf_cap:
-                    raise CapacityError(f"branching exceeded {leaf_cap} paths")
+                if len(stack) + len(leaves) > LEAF_CAP:
+                    raise CapacityError(f"branching exceeded {LEAF_CAP} paths")
     return leaves, answers
 
 
@@ -320,14 +312,22 @@ class RunResult:
     depth_cap: int
 
 
-def run_controller(
-    controller: Controller,
-    oracle,
-    noise,
-    seed: int | None = None,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-) -> RunResult:
+def _next_outcomes(seed: int):
+    """The one-branch rule of a sampled walk: each circuit edge takes the
+    next outcome of that circuit's stream, one stream per circuit content.
+    Walks that share the rule continue each other's streams."""
+    streams: dict[int, object] = {}
+
+    def next_outcome(circuit, bindings, alive):
+        key = circuit_fingerprint(circuit)
+        if key not in streams:
+            streams[key] = sample_stream(circuit, bindings[0], seed=seed)
+        return [(next(streams[key]), (1.0,))]
+
+    return next_outcome
+
+
+def run_controller(controller: Controller, oracle, noise, seed: int | None = None) -> RunResult:
     """Execute one controller, sampling circuit outcomes by trajectory.
 
     The one-branch walk of the learning tree.  Repeated runs of a
@@ -335,20 +335,11 @@ def run_controller(
     stream keyed by the circuit's content, so M runs here aggregate to
     exactly the counts of an M-shot batch under the same seed.
     """
-    master = resolve_seed(seed)
-    views = [_oracle_views(oracle)]
-    streams: dict[int, object] = {}
-
-    def next_outcome(circuit, bindings, alive):
-        key = circuit_fingerprint(circuit)
-        if key not in streams:
-            streams[key] = sample_stream(circuit, bindings[0], seed=master)
-        return [(next(streams[key]), (1.0,))]
-
+    next_outcome = _next_outcomes(resolve_seed(seed))
     start = time.perf_counter()
-    leaves, answers = _walk_tree(controller, views, noise, step_budget, depth_cap, LEAF_CAP, next_outcome)
+    leaves, answers = _walk_tree(controller, [_oracle_views(oracle)], noise, next_outcome)
     (t,) = leaves
-    return RunResult(t, answers[t], t.query_count, t.runtime_units, time.perf_counter() - start, depth_cap)
+    return RunResult(t, answers[t], t.query_count, t.runtime_units, time.perf_counter() - start, DEPTH_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +381,7 @@ def _support(dists) -> list[str]:
     return sorted(set().union(*(d.probabilities for d in dists)))
 
 
-def _enumerate_tree(controller, views, noise, step_budget, depth_cap, leaf_cap):
+def _enumerate_tree(controller, views, noise):
     """The all-branch walk over the union of the live views' exact supports.
     Also returns, per circuit fingerprint, the circuit and each view's exact
     output distribution, computed only where that view is live (else None)."""
@@ -404,26 +395,18 @@ def _enumerate_tree(controller, views, noise, step_budget, depth_cap, leaf_cap):
         live = [d for d, a in zip(dists, alive) if a]
         return [(o, tuple(d.get(o) if a else 0.0 for d, a in zip(dists, alive))) for o in _support(live)]
 
-    leaves, answers = _walk_tree(controller, views, noise, step_budget, depth_cap, leaf_cap, live_support)
+    leaves, answers = _walk_tree(controller, views, noise, live_support)
     return leaves, answers, nodes
 
 
-def exact_leaf_distribution(
-    controller: Controller,
-    oracle,
-    noise,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-    leaf_cap: int = LEAF_CAP,
-) -> LeafDistribution:
+def exact_leaf_distribution(controller: Controller, oracle, noise) -> LeafDistribution:
     """Enumerate the learning tree, multiplying exact outcome probabilities.
 
     The controller is replayed down every branch, so its step function must
     be pure.  Classical edges are deterministic; circuit edges branch over
     the exact output distribution of the stamped circuit.
     """
-    views = [_oracle_views(oracle)]
-    leaves, answers, _ = _enumerate_tree(controller, views, noise, step_budget, depth_cap, leaf_cap)
+    leaves, answers, _ = _enumerate_tree(controller, [_oracle_views(oracle)], noise)
     return LeafDistribution({t: p for t, ((p,), _) in leaves.items()}, answers)
 
 
@@ -450,8 +433,6 @@ def lecam_advantage(
     mode: str = "exact",
     trials: int = 2000,
     seed: int | None = None,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> dict:
     """Two-point distinguishing advantage of one controller.
 
@@ -469,7 +450,7 @@ def lecam_advantage(
         distinct = list({id(o): o for _, o in members[0] + members[1]}.values())
         column = {id(o): j for j, o in enumerate(distinct)}
         views = [_oracle_views(o) for o in distinct]
-        leaves, _, _ = _enumerate_tree(controller, views, noise, step_budget, depth_cap, LEAF_CAP)
+        leaves, _, _ = _enumerate_tree(controller, views, noise)
         mix0, mix1 = {}, {}
         for family, mix in zip(members, (mix0, mix1)):
             for weight, oracle in family:
@@ -481,19 +462,22 @@ def lecam_advantage(
         slack = 0.0
         details = {"mode": mode, "transcripts": len(mix0 | mix1)}
     elif mode == "sampled":
+        if trials < 1:
+            raise UsageError(f"sampled mode needs at least one trial, got {trials}")
         master = resolve_seed(seed)
         answer_dists = []
         for b, family in enumerate((family0, family1)):
-            weights = np.array([w for w, _ in family])
-            cum = np.cumsum(weights)
-            counts: dict = {}
-            for t in range(trials):
-                rng = rng_for(master, 0x6C65, b, t)
-                idx = int(np.searchsorted(cum, rng.random(), side="right"))
-                idx = min(idx, len(family) - 1)
-                child = int(rng.integers(0, 2**62))
-                result = run_controller(controller, family[idx][1], noise, child, step_budget, depth_cap)
-                counts[result.answer] = counts.get(result.answer, 0) + 1
+            # a member's trials are consecutive walks over one stream set
+            rng = rng_for(master, 0x6C65, b)
+            seeds = rng.integers(0, 2**62, size=len(family))
+            picks = rng.choice(len(family), size=trials, p=[w for w, _ in family])
+            counts: Counter = Counter()
+            for j, member_trials in zip(*np.unique(picks, return_counts=True)):
+                views = [_oracle_views(family[j][1])]
+                next_outcome = _next_outcomes(int(seeds[j]))
+                for _ in range(member_trials):
+                    _, leaf = _walk_tree(controller, views, noise, next_outcome)
+                    counts.update(leaf.values())
             answer_dists.append({a: c / trials for a, c in counts.items()})
         tv = dict_tv(*answer_dists)
         answers = len(answer_dists[0] | answer_dists[1])
@@ -501,7 +485,7 @@ def lecam_advantage(
         details = {"mode": mode, "trials": trials, "answers": answers, "slack": slack}
     else:
         raise UsageError(f"unknown mode {mode!r}")
-    details["depth_cap"] = depth_cap
+    details["depth_cap"] = DEPTH_CAP
     return make_report(
         "distinguishing advantage below the two-point threshold",
         tv,
@@ -517,15 +501,7 @@ def lecam_advantage(
 # ---------------------------------------------------------------------------
 
 
-def perturbation_check(
-    controller: Controller,
-    oracle,
-    substitute,
-    noise,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-    leaf_cap: int = LEAF_CAP,
-) -> dict:
+def perturbation_check(controller: Controller, oracle, substitute, noise) -> dict:
     """Verify leaf TV <= epsilon x depth under a circuit-level substitution.
 
     Both trees share the controller, so they share structure; only circuit
@@ -536,7 +512,7 @@ def perturbation_check(
     """
     bindings, classical = _oracle_views(oracle)
     views = [(bindings, classical), (_oracle_views(substitute)[0], classical)]
-    leaves, _, nodes = _enumerate_tree(controller, views, noise, step_budget, depth_cap, leaf_cap)
+    leaves, _, nodes = _enumerate_tree(controller, views, noise)
 
     def node_tv(circuit, dists) -> float:
         # both trees' child distributions, also where one tree never runs the node
@@ -556,5 +532,5 @@ def perturbation_check(
         epsilon=epsilon,
         depth=depth,
         leaves=len(leaves),
-        depth_cap=depth_cap,
+        depth_cap=DEPTH_CAP,
     )

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import CapacityError, UsageError
 from .qsim import (
     DensityMatrix,
-    GateLayer,
     NoiseRate,
     NoisyCircuit,
     OracleCall,
@@ -24,7 +23,6 @@ from .qsim import (
     PureState,
     _as_noise_rate,
     _depolarize_density_tensor,
-    _resolve_binding,
     _walk_density,
     haar_unitary,
     partial_trace_tensor,
@@ -174,22 +172,17 @@ def restrict_and_decohere(sigma: DensityMatrix, sel: SubsetSelector) -> DensityM
 # ---------------------------------------------------------------------------
 
 
-def check_info_decay(circuit: NoisyCircuit, oracle_bindings=None) -> dict:
+def check_info_decay(circuit: NoisyCircuit) -> dict:
     """Verify I(rho_t) <= (1 - lam)^t * n after every noise layer.
 
-    Valid only when every step is unitary (gate layers and unitary oracle
-    bindings); a state-replacement oracle can inject fresh information.
+    The circuit binds no oracle, so every step is a unitary gate layer; a
+    state-replacement oracle could inject fresh information.
     """
     n = circuit.n_qubits
     lam = circuit.noise.value
-    for step in circuit.steps:
-        if not isinstance(step, GateLayer):
-            binding = _resolve_binding(oracle_bindings, step)
-            if not binding.is_unitary:
-                raise UsageError("info decay requires unitary oracle bindings")
     layers = []
     t = 0
-    for op, rho in _walk_density(circuit, oracle_bindings):
+    for op, rho in _walk_density(circuit):
         if op is not None:
             continue
         t += 1

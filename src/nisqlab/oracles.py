@@ -210,11 +210,11 @@ class SimonSpec:
         return int(self.s, 2)
 
 
-def _mix_rounds(rng: np.random.Generator, n: int, rounds: int = 4):
+def _mix_rounds(rng: np.random.Generator, n: int):
     mask = 2**n - 1
     params = [
         (int(rng.integers(0, 2**n)) | 1, int(rng.integers(1, max(2, n))), int(rng.integers(0, 2**n)))
-        for _ in range(rounds)
+        for _ in range(4)
     ]
 
     def mix(x):
@@ -402,8 +402,6 @@ def apply_state_oracle(sigma: DensityMatrix, so: StateOracle, state_register) ->
 
 class StateOracleBinding(OracleBinding):
     """Density-only binding: trajectories cannot host a state-replacement."""
-
-    is_unitary = False
 
     def __init__(self, oracle: StateOracle):
         self.oracle = oracle

@@ -532,15 +532,12 @@ class OracleBinding:
     """Interface oracles implement to act inside circuits.
 
     Tensors may carry a leading batch axis (statevector case); `wires` are
-    circuit qubit indices in the oracle's register order.  A binding that
-    is not a unitary channel (a state replacement) clears `is_unitary`.  A
-    binding whose unitary maps basis states to phased basis states sets
-    `is_monomial` and gives `apply_basis`: the images of a batch of
-    basis-state indices.
+    circuit qubit indices in the oracle's register order.  A binding whose
+    unitary maps basis states to phased basis states sets `is_monomial` and
+    gives `apply_basis`: the images of a batch of basis-state indices.
     """
 
     n_wires: int
-    is_unitary = True
     is_monomial = False
 
     def apply_statevector(self, tensor: np.ndarray, wires: tuple[int, ...], n_qubits: int) -> np.ndarray:

@@ -10,6 +10,7 @@ from nisqlab.algorithms import (
     BVRunConfig,
     DistinguishResult,
     NoisyParityInstance,
+    _fast_bv_counts,
     binomial_tv,
     bv_circuit,
     bv_outcome_counts,
@@ -28,7 +29,7 @@ from nisqlab.algorithms import (
     shadow_distinguish,
     solve_noisy_parity_bruteforce,
 )
-from nisqlab.bits import bits_to_int, parity
+from nisqlab.bits import bits_to_int, parity, str_to_arr
 from nisqlab.errors import CapacityError, InvariantViolation, UsageError
 from nisqlab.metrics import check_hybrid_bound
 from nisqlab.oracles import (
@@ -45,7 +46,9 @@ from nisqlab.qsim import (
     exact_output_distribution,
     H,
     layer,
+    sample_outcomes,
 )
+from nisqlab.seeding import rng_for
 
 
 def circuit_unitary(steps, n):
@@ -117,9 +120,7 @@ class TestBVRun:
         exact = exact_output_distribution(
             bv_circuit(n, lam), {"O": lift_to_unitary(make_bv(s))}
         )
-        counts = bv_outcome_counts(
-            BVRunConfig(n, lam, 0.1, repetitions=1), make_bv(s), 200_000, seed=11, backend="fast"
-        )
+        counts = _fast_bv_counts(str_to_arr(s), lam, 200_000, rng_for(11, 0x6276))
         total = sum(counts.values())
         tv = 0.5 * sum(
             abs(counts.get(w, 0) / total - exact.get(w))
@@ -129,9 +130,8 @@ class TestBVRun:
 
     def test_backends_agree(self):
         n, lam, s = 3, 0.2, "101"
-        cfg = BVRunConfig(n, lam, 0.1, repetitions=1)
-        a = bv_outcome_counts(cfg, make_bv(s), 20_000, seed=4, backend="trajectory")
-        b = bv_outcome_counts(cfg, make_bv(s), 20_000, seed=4, backend="fast")
+        a = sample_outcomes(bv_circuit(n, lam), {"O": lift_to_unitary(make_bv(s))}, seed=4, shots=20_000)
+        b = _fast_bv_counts(str_to_arr(s), lam, 20_000, rng_for(4, 0x6276))
         tv = 0.5 * sum(
             abs(a.get(w, 0) - b.get(w, 0)) / 20_000 for w in set(a) | set(b)
         )
@@ -181,8 +181,6 @@ class TestBVRun:
         counts = bv_outcome_counts(cfg, f, 400, seed=1)
         assert set(counts) == {a + b + "0" * 13 + "1" for a in "01" for b in "01"}
         assert all(c >= 50 for c in counts.values())
-        with pytest.raises(UsageError, match="declares its secret"):
-            bv_outcome_counts(cfg, f, 10, seed=1, backend="fast")
 
     def test_fast_path_reads_the_declared_secret(self):
         f = make_bv("1" * 16)
@@ -232,6 +230,10 @@ class TestGroverRuns:
     def test_requires_power_of_two(self):
         with pytest.raises(UsageError, match="power of two"):
             run_noisy_grover(GroverOracle(6, 2), 0.0, 1)
+
+    def test_rejects_negative_iterations(self):
+        with pytest.raises(UsageError, match="iterations"):
+            run_noisy_grover(GroverOracle(4, 1), 0.1, -1)
 
 
 class TestZalka:
@@ -284,6 +286,11 @@ class TestShadow:
         exact = shadow_distinguish("ZZ", 0.4, 6)
         sampled = shadow_distinguish("ZZ", 0.4, 6, mode="sampled", trials=6000, seed=1)
         assert abs(sampled.advantage - exact.advantage) < 0.08
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_sampled_mode_needs_a_trial(self, trials):
+        with pytest.raises(UsageError, match="trial"):
+            shadow_distinguish("Z", 0.2, 2, mode="sampled", trials=trials)
 
     def test_result_invariant(self):
         with pytest.raises(InvariantViolation):

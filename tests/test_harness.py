@@ -211,21 +211,23 @@ class TestRunController:
         r = run_controller(run_then_output(circ), make_bv("1"), 0.0, seed=1)
         assert r.transcript.edges[0].outcome == "1"
 
-    def test_step_budget(self):
+    def test_step_budget(self, monkeypatch):
+        monkeypatch.setattr("nisqlab.harness.STEP_BUDGET", 25)
         looping = FunctionController(lambda t: ClassicalQuery(0))
         with pytest.raises(CapacityError, match="budget"):
-            run_controller(looping, make_bv("10"), 0.0, step_budget=25)
+            run_controller(looping, make_bv("10"), 0.0)
 
-    def test_depth_cap(self):
+    def test_depth_cap(self, monkeypatch):
+        monkeypatch.setattr("nisqlab.harness.DEPTH_CAP", 10)
         deep = NoisyCircuit(1, [layer(X(0))] * 12, 0.0)
         with pytest.raises(CapacityError, match="depth"):
-            run_controller(run_then_output(deep), make_bv("1"), 0.0, depth_cap=10)
+            run_controller(run_then_output(deep), make_bv("1"), 0.0)
 
     def test_classical_query_needs_classical_view(self):
         ctrl = FunctionController(lambda t: ClassicalQuery(1))
         binding = StateOracleBinding(StateOracle(2, "ZZ", 1))
         with pytest.raises(UsageError, match="classical"):
-            run_controller(ctrl, binding, 0.1, step_budget=5)
+            run_controller(ctrl, binding, 0.1)
 
     def test_bad_action_rejected(self):
         with pytest.raises(UsageError, match="not an action"):
@@ -311,10 +313,11 @@ class TestExactLeaves:
         )
         assert tv <= 3 * math.sqrt(len(exact.probabilities) / trials)
 
-    def test_leaf_cap(self):
+    def test_leaf_cap(self, monkeypatch):
+        monkeypatch.setattr("nisqlab.harness.LEAF_CAP", 30)
         circ = NoisyCircuit(2, [layer(H(0), H(1))], 0.2)
         with pytest.raises(CapacityError):
-            exact_leaf_distribution(run_then_output(circ, depth=3), make_bv("1"), 0.2, leaf_cap=30)
+            exact_leaf_distribution(run_then_output(circ, depth=3), make_bv("1"), 0.2)
 
     def test_distribution_validation(self):
         t = Transcript((ClassicalEdge(0, 1),))
@@ -374,6 +377,17 @@ class TestLeCam:
         )
         assert rep["holds"]
         assert abs(rep["lhs"] - exact["lhs"]) <= rep["details"]["slack"]
+
+    def test_sampled_mode_shares_streams_per_member(self):
+        # a member's trials continue one stream set: each of the first
+        # family's 8 members simulates one 64-row range, the second's one two
+        g = grover_circuit(3, 1, 0.0)
+        marks = [GroverOracle(8, i) for i in range(8)]
+        no_mark = GroverOracle(8, 0)
+        f0 = [(1 / 8, {"G": make_grover_phase(o)}) for o in marks]
+        f1 = [(1.0, {"G": make_grover_phase(no_mark)})]
+        lecam_advantage(run_then_output(g), f0, f1, 0.0, mode="sampled", trials=100, seed=5)
+        assert sum(o.query_counter.value for o in marks + [no_mark]) <= 640
 
     @pytest.mark.parametrize("lam", [0.0, 0.1, 0.3])
     def test_grover_family_matches_per_member_mixture(self, lam):
@@ -487,6 +501,13 @@ class TestLeCam:
         with pytest.raises(UsageError, match="mode"):
             lecam_advantage(run_then_output(circ), good, good, 0.1, mode="guess")
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_sampled_mode_needs_a_trial(self, trials):
+        circ = NoisyCircuit(2, [OracleCall("O", (0, 1))], 0.1)
+        fam = [(1.0, make_bv("1"))]
+        with pytest.raises(UsageError, match="trial"):
+            lecam_advantage(run_then_output(circ), fam, fam, 0.1, mode="sampled", trials=trials)
+
 
 class TestPerturbation:
     def test_identity_substitution(self):
@@ -562,10 +583,6 @@ class TestControllerProtocol:
     def test_base_class_is_abstract(self):
         with pytest.raises(NotImplementedError):
             Controller().step(Transcript())
-
-    def test_clone_defaults_to_self(self):
-        c = BVMajorityController(BVRunConfig(3, 0.0, 0.1, repetitions=1))
-        assert c.clone() is c
 
     def test_transcript_properties(self):
         t = Transcript(
