@@ -22,6 +22,7 @@ from .qsim import (
     OutcomeDistribution,
     PureState,
     _as_noise_rate,
+    _bit_flip_noise,
     _depolarize_density_tensor,
     _walk_density,
     haar_unitary,
@@ -266,9 +267,7 @@ def check_projection_bound(
     for w in words:
         if not (0 <= w < 2**n):
             raise UsageError(f"outcome {w} outside n = {n} bit range")
-    rho = psi.to_density().tensor()
-    noisy = _depolarize_density_tensor(rho, n, lam)
-    diag = np.diag(noisy.reshape(2**n, 2**n)).real
+    diag = _bit_flip_noise(np.abs(psi.amplitudes) ** 2, n, lam)
     lhs = float(diag[words].sum()) if words else 0.0
     rhs = float(flip_hit_probabilities(n, words, lam).max()) if words else 0.0
     return make_report(

@@ -448,14 +448,34 @@ def _layer_on_density(tensor: np.ndarray, lay: GateLayer, n: int) -> np.ndarray:
 
 
 def _depolarize_density_tensor(tensor: np.ndarray, n: int, lam: float) -> np.ndarray:
+    """D_lam on every qubit, into a new tensor (`tensor` is never written).  The
+    per-qubit channels commute: each scales the blocks off-diagonal in its qubit by
+    1 - lam, for all qubits at once a product with (1 - lam)^popcount(i xor j), and
+    mixes its two diagonal blocks by lam / 2, here in place on that product."""
     if lam == 0.0:
         return tensor
-    half_eye = _I2 / 2.0
+    idx = np.arange(2**n, dtype=np.uint16)
+    scale = ((1.0 - lam) ** np.arange(n + 1))[np.bitwise_count(idx[:, None] ^ idx)]
+    out = np.multiply(tensor, scale.reshape(tensor.shape), order="C")  # C order: reshapes below are views
     for q in range(n):
-        traced = np.trace(tensor, axis1=q, axis2=n + q)
-        mixed = np.moveaxis(np.multiply.outer(half_eye, traced), (0, 1), (q, n + q))
-        tensor = (1.0 - lam) * tensor + lam * mixed
-    return tensor
+        v = out.reshape(2**q, 2, 2 ** (n - 1), 2, 2 ** (n - 1 - q))
+        a, b = v[:, 0, :, 0], v[:, 1, :, 1]
+        d = (b - a) * (lam / 2.0)
+        a += d
+        b -= d
+    return out
+
+
+def _bit_flip_noise(probs: np.ndarray, n: int, lam: float) -> np.ndarray:
+    """The diagonal of D_lam on every qubit, into a new array: each bit of an
+    outcome of `probs` flips independently with probability lam / 2."""
+    out = np.array(probs, dtype=float, order="C")
+    for q in range(n):
+        v = out.reshape(2**q, 2, -1)
+        d = (v[:, 1] - v[:, 0]) * (lam / 2.0)
+        v[:, 0] += d
+        v[:, 1] -= d
+    return out
 
 
 def _pauli_events(lam: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -614,7 +634,8 @@ def depolarize_all(rho: DensityMatrix, lam: "NoiseRate | float") -> DensityMatri
 
 
 def _walk_density(circuit: NoisyCircuit, oracle_bindings=None):
-    """Yield (op, density tensor after op) for each op of circuit.schedule()."""
+    """Yield (op, density tensor after op) for each op of circuit.schedule();
+    a yielded tensor is never written again, so consumers may keep it."""
     n = circuit.n_qubits
     if n > DENSITY_QUBIT_CAP:
         raise CapacityError(f"density backend supports n <= {DENSITY_QUBIT_CAP}, got {n}")
@@ -639,9 +660,13 @@ def evolve_density(circuit: NoisyCircuit, oracle_bindings=None) -> DensityMatrix
 
 
 def exact_output_distribution(circuit: NoisyCircuit, oracle_bindings=None) -> OutcomeDistribution:
-    """Exact outcome probabilities via the density-matrix backend."""
-    rho = evolve_density(circuit, oracle_bindings)
-    return rho.outcome_distribution()
+    """Exact outcome probabilities via the density-matrix backend.  Readout sees
+    only the diagonal of the final noise layer, so it acts on diag(rho) as bit flips."""
+    n = circuit.n_qubits
+    for _, rho in itertools.islice(_walk_density(circuit, oracle_bindings), len(circuit.schedule()) - 1):
+        pass
+    diag = np.einsum(rho, [*range(n)] * 2, [*range(n)]).real  # unlike a reshape, never copies rho
+    return OutcomeDistribution.from_array(n, _bit_flip_noise(diag, n, circuit.noise.value).reshape(-1))
 
 
 def evolve_statevector(circuit: NoisyCircuit, oracle_bindings=None) -> PureState:

@@ -269,6 +269,16 @@ class TestProjectionBound:
         assert rep["lhs"] == pytest.approx(expected, abs=1e-9)
         assert rep["rhs"] == pytest.approx(expected, abs=1e-9)
 
+    def test_lhs_matches_full_noise_layer(self, rng):
+        # the diagonal-only noise against the diagonal of the 4^n channel
+        for n, lam in ((1, 0.7), (3, 0.3), (5, 1.0)):
+            amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+            psi = PureState(n, amps / np.linalg.norm(amps))
+            omega = sorted(set(rng.integers(0, 2**n, size=3).tolist()))
+            full = np.diag(depolarize_all(psi.to_density(), lam).entries).real
+            lhs = check_projection_bound(psi, omega, lam)["lhs"]
+            assert lhs == pytest.approx(full[omega].sum(), rel=0, abs=1e-12)
+
     def test_suffix_zero_outcomes(self, rng):
         lam, n = 0.4, 4
         amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)

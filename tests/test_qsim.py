@@ -204,6 +204,33 @@ class TestDepolarize:
         single = np.diag([0.75, 0.25])
         np.testing.assert_allclose(out.entries, np.kron(single, single), atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_pauli_kraus_reference(self, n, rng):
+        # per qubit (1 - 3 lam/4) rho + (lam/4)(X rho X + Y rho Y + Z rho Z),
+        # on inputs neither Hermitian nor normalized, C-ordered and with
+        # permuted strides (as gate layers leave them); the input stays as it was
+        dim, shape = 2**n, (2,) * (2 * n)
+        kraus = [
+            [np.kron(np.kron(np.eye(2**q), p), np.eye(2 ** (n - 1 - q))) for p in (qsim._PAULI_X, qsim._PAULI_Y, qsim._PAULI_Z)]
+            for q in range(n)
+        ]
+        rho = random_amplitudes(rng, dim, dim)
+        permuted = np.moveaxis(np.moveaxis(rho.reshape(shape), 0, -1).copy(), -1, 0)
+        a = random_amplitudes(rng, dim, dim)
+        state = DensityMatrix(n, a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        for lam in (0.0, 5e-324, 0.1, 0.5, 1.0):
+            want = rho
+            for paulis in kraus:
+                want = (1 - 0.75 * lam) * want + (lam / 4) * sum(p @ want @ p for p in paulis)
+            for tensor in (rho.reshape(shape), permuted):
+                before = tensor.copy()
+                got = qsim._depolarize_density_tensor(tensor, n, lam)
+                np.testing.assert_array_equal(tensor, before)
+                np.testing.assert_allclose(got.reshape(dim, dim), want, rtol=0, atol=1e-12)
+            entries = state.entries.copy()
+            depolarize_all(state, lam)
+            np.testing.assert_array_equal(state.entries, entries)
+
     def test_pauli_mixture_weights_reproduce_channel(self, rng):
         # (1-lam) rho + lam I/2 == (1-3lam/4) rho + (lam/4)(X rho X + Y rho Y + Z rho Z)
         lam = 0.37
@@ -275,6 +302,43 @@ class TestExactDistribution:
         dist = exact_output_distribution(circ)
         assert math.isclose(sum(p for _, p in dist.items()), 1.0, abs_tol=1e-9)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_diagonal_readout_matches_full_walk(self, n, rng):
+        for lam in (0.0, 0.1, 1.0):
+            assert_readout_paths_agree(qsim.random_circuit(n, 3, lam, rng))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
+    def test_diagonal_readout_with_oracle_calls(self, lam):
+        bindings = {
+            "G": make_grover_phase(GroverOracle(8, 5)),
+            "F": lift_to_unitary(make_bv("101")),
+            "S": StateOracleBinding(StateOracle(2, "XZ", 1)),
+        }
+        steps = (
+            layer(H(0), H(1), H(2), H(3)),
+            OracleCall("G", (0, 1, 2)),
+            layer(CNOT(0, 3)),
+            OracleCall("F", (2, 0, 1, 3)),
+            OracleCall("S", (3, 1)),
+        )
+        for n in (4, 5):
+            assert_readout_paths_agree(NoisyCircuit(n, steps, lam), bindings)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
+    def test_diagonal_readout_of_empty_circuit(self, lam):
+        for n in (1, 3):
+            assert_readout_paths_agree(NoisyCircuit(n, (), lam))
+
+    def test_walk_never_writes_a_yielded_tensor(self, rng):
+        # consumers such as metrics.check_hybrid_bound keep yielded tensors
+        bindings = {"F": lift_to_unitary(make_bv("11")), "S": StateOracleBinding(StateOracle(1, "Y", 1))}
+        steps = (layer(H(0), H(1)), OracleCall("F", (0, 1, 2)), OracleCall("S", (1,)))
+        steps += qsim.random_circuit(3, 2, 0.0, rng).steps
+        for lam in (0.0, 0.3):
+            kept = [(rho, rho.copy()) for _, rho in qsim._walk_density(NoisyCircuit(3, steps, lam), bindings)]
+            for rho, snapshot in kept:
+                np.testing.assert_array_equal(rho, snapshot)
+
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             exact_output_distribution(NoisyCircuit(11, (), 0.0))
@@ -283,6 +347,18 @@ class TestExactDistribution:
         circ = NoisyCircuit(2, (OracleCall("f", (0, 1)),), 0.0)
         with pytest.raises(UsageError, match="unbound"):
             exact_output_distribution(circ)
+
+
+def assert_readout_paths_agree(circ: NoisyCircuit, bindings=None) -> None:
+    """exact_output_distribution (final noise layer on the diagonal) against
+    the full walk's state, with equal oracle query counts on both paths."""
+    counters = [b.oracle.query_counter for b in (bindings or {}).values()]
+    start = [c.value for c in counters]
+    diagonal = exact_output_distribution(circ, bindings).as_array()
+    middle = [c.value for c in counters]
+    full = qsim.evolve_density(circ, bindings).outcome_distribution().as_array()
+    assert [m - s for m, s in zip(middle, start)] == [c.value - m for c, m in zip(counters, middle)]
+    np.testing.assert_allclose(diagonal, full, rtol=0, atol=1e-12)
 
 
 class TestTrajectories:
