@@ -243,6 +243,18 @@ class TestDepolarize:
         np.testing.assert_allclose(mixture, channel, atol=1e-12)
 
 
+def assert_readout_paths_agree(circ: NoisyCircuit, bindings=None) -> None:
+    """exact_output_distribution (final noise layer on the diagonal) against
+    the full walk's state, with equal oracle query counts on both paths."""
+    counters = [b.oracle.query_counter for b in (bindings or {}).values()]
+    start = [c.value for c in counters]
+    diagonal = exact_output_distribution(circ, bindings).as_array()
+    middle = [c.value for c in counters]
+    full = qsim.evolve_density(circ, bindings).outcome_distribution().as_array()
+    assert [m - s for m, s in zip(middle, start)] == [c.value - m for c, m in zip(counters, middle)]
+    np.testing.assert_allclose(diagonal, full, rtol=0, atol=1e-12)
+
+
 class TestExactDistribution:
     def test_noiseless_empty_circuit(self):
         dist = exact_output_distribution(NoisyCircuit(3, (), 0.0))
@@ -347,18 +359,6 @@ class TestExactDistribution:
         circ = NoisyCircuit(2, (OracleCall("f", (0, 1)),), 0.0)
         with pytest.raises(UsageError, match="unbound"):
             exact_output_distribution(circ)
-
-
-def assert_readout_paths_agree(circ: NoisyCircuit, bindings=None) -> None:
-    """exact_output_distribution (final noise layer on the diagonal) against
-    the full walk's state, with equal oracle query counts on both paths."""
-    counters = [b.oracle.query_counter for b in (bindings or {}).values()]
-    start = [c.value for c in counters]
-    diagonal = exact_output_distribution(circ, bindings).as_array()
-    middle = [c.value for c in counters]
-    full = qsim.evolve_density(circ, bindings).outcome_distribution().as_array()
-    assert [m - s for m, s in zip(middle, start)] == [c.value - m for c, m in zip(counters, middle)]
-    np.testing.assert_allclose(diagonal, full, rtol=0, atol=1e-12)
 
 
 class TestTrajectories:
