@@ -24,6 +24,7 @@ from .qsim import (
     _as_noise_rate,
     _bit_flip_noise,
     _depolarize_density_tensor,
+    _readout,
     _walk_density,
     haar_unitary,
     partial_trace_tensor,
@@ -320,17 +321,17 @@ def check_hybrid_bound(
     t_calls = len(calls)
     lam = template.noise.value
 
-    # one walk per channel: the state before each oracle call is a probe,
-    # the final state gives that channel's output distribution
+    # one walk per channel, stopped before the final noise op: the state
+    # before each oracle call is a probe, the last state is read out
     probes: list[DensityMatrix] = []
     finals = []
     for channel in (e0, e1):
         before = None
-        for op, rho in _walk_density(template, {oracle_id: channel}):
+        for op, rho in itertools.islice(_walk_density(template, {oracle_id: channel}), len(template.schedule()) - 1):
             if isinstance(op, OracleCall):
                 probes.append(DensityMatrix(n, before.reshape(2**n, 2**n), check_psd=False))
             before = rho
-        finals.append(DensityMatrix(n, rho.reshape(2**n, 2**n), check_psd=False).outcome_distribution())
+        finals.append(_readout(rho, n, lam))
     p0, p1 = finals
     rng = rng_for(seed, 0x4879)
     for _ in range(trials):

@@ -42,6 +42,8 @@ STATE_ATOL = 1e-9
 # never on thread count, so results are scheduling-independent.
 _CHUNK_AMPLITUDES = 2**21
 _CHUNK_STREAM_TAG = 0x6368756E
+# widest fused gate block, in qubits: fastest of 3..6 on `sampling` (BENCH_gate_fusion.json)
+_FUSE_QUBITS = 5
 
 _I2 = np.eye(2, dtype=np.complex128)
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -161,6 +163,18 @@ class GateLayer:
     @property
     def targets(self) -> set[int]:
         return {t for g in self.gates for t in g.targets}
+
+    @functools.cached_property
+    def _blocks(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+        """The gates grouped greedily, in order, into blocks of at most _FUSE_QUBITS
+        qubits: (the gates' targets in turn, the Kronecker product of their matrices)."""
+        blocks: list[tuple[tuple[int, ...], np.ndarray]] = []
+        for g in self.gates:
+            if not blocks or len(blocks[-1][0]) + len(g.targets) > _FUSE_QUBITS:
+                blocks.append(((), np.ones((1, 1), dtype=np.complex128)))
+            targets, m = blocks[-1]
+            blocks[-1] = (targets + g.targets, np.kron(m, g.matrix))
+        return tuple(blocks)
 
 
 def layer(*gates: Gate) -> GateLayer:
@@ -437,6 +451,18 @@ def _layer_on_pure(tensor: np.ndarray, lay: GateLayer, axis_offset: int = 0) -> 
     return tensor
 
 
+def _block_on_batch(tensor: np.ndarray, block: tuple, order: list[int]) -> tuple[np.ndarray, list[int]]:
+    """One of `GateLayer._blocks` on a batch (axis 0) whose axis p + 1 holds qubit
+    order[p]: its targets move to the last axes and stay there, so a block is one
+    copy and one product.  Returns the C-contiguous result and its order; called
+    per block, so a caller that rebinds its tensor frees each block's input."""
+    targets, m = block
+    axes = [1 + order.index(t) for t in targets]
+    moved = np.moveaxis(tensor, axes, range(tensor.ndim - len(axes), tensor.ndim))
+    out = (moved.reshape(-1, len(m)) @ m.T).reshape(moved.shape)
+    return out, [q for q in order if q not in targets] + list(targets)
+
+
 def _layer_on_density(tensor: np.ndarray, lay: GateLayer, n: int) -> np.ndarray:
     # row axes 0..n-1, column axes n..2n-1
     for g in lay.gates:
@@ -662,11 +688,15 @@ def evolve_density(circuit: NoisyCircuit, oracle_bindings=None) -> DensityMatrix
 def exact_output_distribution(circuit: NoisyCircuit, oracle_bindings=None) -> OutcomeDistribution:
     """Exact outcome probabilities via the density-matrix backend.  Readout sees
     only the diagonal of the final noise layer, so it acts on diag(rho) as bit flips."""
-    n = circuit.n_qubits
     for _, rho in itertools.islice(_walk_density(circuit, oracle_bindings), len(circuit.schedule()) - 1):
         pass
+    return _readout(rho, circuit.n_qubits, circuit.noise.value)
+
+
+def _readout(rho: np.ndarray, n: int, lam: float) -> OutcomeDistribution:
+    """Outcome law of the density tensor rho after one more noise layer."""
     diag = np.einsum(rho, [*range(n)] * 2, [*range(n)]).real  # unlike a reshape, never copies rho
-    return OutcomeDistribution.from_array(n, _bit_flip_noise(diag, n, circuit.noise.value).reshape(-1))
+    return OutcomeDistribution.from_array(n, _bit_flip_noise(diag, n, lam).reshape(-1))
 
 
 def evolve_statevector(circuit: NoisyCircuit, oracle_bindings=None) -> PureState:
@@ -745,7 +775,10 @@ def _sample_chunk(
     # amplitudes; the first 2-qubit gate or oracle call densifies.
     prod: np.ndarray | None = np.zeros((batch, n, 2), dtype=np.complex128)
     prod[:, :, 0] = 1.0
+    # Tensor axis p + 1 holds qubit order[p] (see _block_on_batch): noise
+    # views each qubit where it sits, oracles and readout see qubit order.
     tensor: np.ndarray | None = None
+    order = list(range(n))
     for op in schedule[:cut]:
         if op is None:
             if lam == 0.0:
@@ -754,9 +787,8 @@ def _sample_chunk(
             col += n
             if prod is not None:
                 _pauli_noise(lambda q: prod[:, q, None, :, None], n, lam, block)
-            else:
-                tensor = np.ascontiguousarray(tensor)
-                _pauli_noise(lambda q: tensor.reshape(batch, 1 << q, 2, -1), n, lam, block)
+            else:  # tensor is C-contiguous here, so each reshape is a view
+                _pauli_noise(lambda q: tensor.reshape(batch, 1 << order.index(q), 2, -1), n, lam, block)
         elif prod is not None and isinstance(op, GateLayer) and all(len(g.targets) == 1 for g in op.gates):
             for g in op.gates:
                 q = g.targets[0]
@@ -768,15 +800,16 @@ def _sample_chunk(
                     tensor = (tensor[:, :, None] * prod[:, q, None, :]).reshape(batch, -1)
                 tensor, prod = np.ascontiguousarray(tensor.reshape((batch,) + (2,) * n)), None
             if isinstance(op, GateLayer):
-                # rebinding per gate frees each gate's input; a layer call would hold the layer's input too
-                for g in op.gates:
-                    tensor = _apply_unitary_tensor(tensor, g.matrix, tuple(t + 1 for t in g.targets))
+                for block in op._blocks:
+                    tensor, order = _block_on_batch(tensor, block, order)
             else:
-                tensor = _resolve_binding(oracle_bindings, op).apply_statevector(tensor, op.wires, n)
+                tensor = tensor.transpose(0, *(1 + np.argsort(order)))
+                tensor = np.ascontiguousarray(_resolve_binding(oracle_bindings, op).apply_statevector(tensor, op.wires, n))
+                order = list(range(n))
     if prod is not None:
         outcomes = _draw_product(prod, u[:, 0])
     else:
-        probs = np.abs(tensor.reshape(batch, -1)) ** 2
+        probs = (np.abs(tensor) ** 2).transpose(0, *(1 + np.argsort(order))).reshape(batch, -1)
         probs /= probs.sum(axis=1, keepdims=True)
         cum = np.cumsum(probs, axis=1)
         outcomes = np.minimum((cum <= u[:, :1]).sum(axis=1), 2**n - 1)

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from nisqlab.qsim import (
     sample_outcomes,
     sample_trajectory,
 )
+from nisqlab.seeding import rng_for
 
 from conftest import counts_to_probs, tv_dicts
 
@@ -572,6 +574,79 @@ class TestMonomialTail:
         oracle.query_counter.reset()
         list(itertools.islice(qsim.sample_stream(circ, b, seed=4), 100))
         assert oracle.query_counter.value == 128  # rows [0, 64) then [64, 128)
+
+
+class TestFusedLayers:
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("p_two", [0.5, 1.0])
+    def test_blocks_match_gate_by_gate(self, n, p_two):
+        # four layers with noise after each: the permuted qubit order carries
+        # from layer to layer and through the noise layers' views
+        rng = np.random.default_rng([n, int(10 * p_two)])
+        batch, lam = 4, 0.6
+        ref = random_amplitudes(rng, batch, *(2,) * n)
+        fused, order = ref.copy(), list(range(n))
+        for _ in range(4):
+            lay = qsim.random_layer(n, rng, p_two)
+            assert lay._blocks is lay._blocks
+            assert sorted(t for targets, _ in lay._blocks for t in targets) == sorted(lay.targets)
+            assert all(len(targets) <= qsim._FUSE_QUBITS for targets, _ in lay._blocks)
+            for g in lay.gates:
+                ref = qsim._apply_unitary_tensor(ref, g.matrix, tuple(t + 1 for t in g.targets))
+            for block in lay._blocks:
+                fused, order = qsim._block_on_batch(fused, block, order)
+                assert fused.flags.c_contiguous
+            ref = np.ascontiguousarray(ref)
+            u = rng.random((batch, n))
+            qsim._pauli_noise(lambda q: ref.reshape(batch, 1 << q, 2, -1), n, lam, u)
+            qsim._pauli_noise(lambda q: fused.reshape(batch, 1 << order.index(q), 2, -1), n, lam, u)
+        assert n < 6 or order != list(range(n))
+        logical = fused.transpose(0, *(1 + np.argsort(order)))
+        np.testing.assert_allclose(logical, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 6, 9])
+    def test_walk_draws_the_gate_by_gate_outcomes(self, n):
+        # the same stream through a gate-by-gate walk in qubit order: each
+        # noise draw must reach its own qubit wherever the fused walk keeps it
+        circ = qsim.random_circuit(n, 3, 0.3, np.random.default_rng([n, 0x77]), p_two=1.0)
+        rows, schedule = 300, circ.schedule()
+        key = qsim.circuit_fingerprint(circ)
+        u = rng_for(4, key, qsim._CHUNK_STREAM_TAG, 0).random((rows, schedule.count(None) * n + 1))
+        ref = np.zeros((rows,) + (2,) * n, dtype=complex)
+        ref.reshape(rows, -1)[:, 0] = 1.0
+        for i, op in enumerate(schedule):
+            if op is None:
+                ref = np.ascontiguousarray(ref)
+                block = u[:, 1 + n * (i // 2) : 1 + n * (i // 2 + 1)]
+                qsim._pauli_noise(lambda q: ref.reshape(rows, 1 << q, 2, -1), n, 0.3, block)
+            else:
+                for g in op.gates:
+                    ref = qsim._apply_unitary_tensor(ref, g.matrix, tuple(t + 1 for t in g.targets))
+        probs = np.abs(ref.reshape(rows, -1)) ** 2
+        cum = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+        expected = np.minimum((cum <= u[:, :1]).sum(axis=1), 2**n - 1)
+        np.testing.assert_array_equal(qsim._sample_chunk(circ, None, 4, key, 0, 0, rows), expected)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_oracle_between_fused_layers_matches_exact(self, n):
+        # the final Haar layer keeps the oracle out of the monomial tail, so
+        # the walk must restore qubit order before the call
+        rng = np.random.default_rng([n, 0x0D])
+        wires = tuple(int(w) for w in rng.permutation(n)[:5])
+        b = {"O": lift_to_unitary(random_oracle(rng, len(wires) - 1, 1))}
+        first, last = qsim.random_layer(n, rng, 1.0), qsim.random_layer(n, rng, 1.0)
+        assert len(first._blocks) >= 2
+        circ = NoisyCircuit(n, [first, OracleCall("O", wires), last], 0.05)
+        assert qsim._monomial_tail(circ.schedule(), b, n)[0] == len(circ.schedule())
+        exact = exact_output_distribution(circ, b).as_array()
+        assert_tv_within_3_sigma(exact, sample_outcomes(circ, b, seed=n, shots=40000))
+
+    def test_stream_prefix_matches_batch_with_two_blocks_a_layer(self):
+        circ = qsim.random_circuit(8, 3, 0.2, np.random.default_rng(0x5E), p_two=1.0)
+        assert all(len(lay._blocks) >= 2 for lay in circ.steps)
+        for m in (1, 100, 300):
+            stream = Counter(itertools.islice(qsim.sample_stream(circ, seed=3), m))
+            assert dict(stream) == sample_outcomes(circ, seed=3, shots=m)
 
 
 class TestSerialization:
