@@ -327,7 +327,8 @@ def check_hybrid_bound(
     finals = []
     for channel in (e0, e1):
         before = None
-        for op, rho in itertools.islice(_walk_density(template, {oracle_id: channel}), len(template.schedule()) - 1):
+        walk = _walk_density(template, {oracle_id: channel})
+        for op, rho in itertools.islice(walk, len(template.schedule()) - 1):
             if isinstance(op, OracleCall):
                 probes.append(DensityMatrix(n, before.reshape(2**n, 2**n), check_psd=False))
             before = rho

@@ -804,7 +804,8 @@ def _sample_chunk(
                     tensor, order = _block_on_batch(tensor, block, order)
             else:
                 tensor = tensor.transpose(0, *(1 + np.argsort(order)))
-                tensor = np.ascontiguousarray(_resolve_binding(oracle_bindings, op).apply_statevector(tensor, op.wires, n))
+                binding = _resolve_binding(oracle_bindings, op)
+                tensor = np.ascontiguousarray(binding.apply_statevector(tensor, op.wires, n))
                 order = list(range(n))
     if prod is not None:
         outcomes = _draw_product(prod, u[:, 0])
