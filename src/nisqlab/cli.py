@@ -207,7 +207,7 @@ def cmd_simulate(p: _Params) -> int:
     elif backend == "trajectory":
         shots = p.count("shots", 10_000)
         counts = qsim.sample_outcomes(
-            circuit, seed=seed, shots=shots, threads=int(p.get("threads", 1))
+            circuit, seed=seed, shots=shots, threads=p.count("threads", 1)
         )
         rows = [(s, c, c / shots) for s, c in sorted(counts.items())]
         _write_csv(out, ["outcome", "count", "probability"], rows, seed)
@@ -272,7 +272,7 @@ def _exp_bv_scaling(p: _Params) -> _Record:
     lam = float(p.get("lambda", 0.05))
     delta = float(p.get("delta", 0.01))
     trials = p.count("trials", 50)
-    threads = int(p.get("threads", 1))
+    threads = p.count("threads", 1)
     seed = p.seed()
     rows = []
     for n in p.n_list("8,16,32"):
@@ -414,11 +414,11 @@ def _exp_info_decay(p: _Params) -> _Record:
 def _exp_noisy_parity(p: _Params) -> _Record:
     n = p.single_n(12)
     lam = float(p.get("lambda", 0.1))
-    samples = int(p.get("shots", 2000))
+    samples = p.count("shots", 2000)
     instances = p.count("trials", 10)
     k = min(6, n)
     w_max = min(2, k)
-    threads = int(p.get("threads", 1))
+    threads = p.count("threads", 1)
     seed = p.seed()
     rows = []
     for i in range(instances):

@@ -13,8 +13,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +20,6 @@ import numpy as np
 from .bits import arr_to_str, str_to_arr
 from .errors import CapacityError, InvariantViolation, UsageError
 from .oracles import SimonSpec, make_simon
-from .qsim import PureState
 
 BLOCK_LENGTH_CAP = 2**20
 STATE_BLOCK_CAP = 14
@@ -85,16 +82,6 @@ class BaseCode:
     def coset(self, b: int) -> np.ndarray:
         return self._cosets[b]
 
-    @classmethod
-    def from_json(cls, text: str) -> "BaseCode":
-        doc = json.loads(text)
-        return cls(
-            int(doc["m"]),
-            np.array(doc["generator_c"], dtype=np.uint8),
-            np.array(doc["generator_c_perp"], dtype=np.uint8),
-            int(doc["d"]),
-        )
-
 
 def hamming_base_code() -> BaseCode:
     """[7,4] Hamming with its simplex dual; corrects d = 1 error per level."""
@@ -110,13 +97,6 @@ def hamming_base_code() -> BaseCode:
         [1, 0, 1, 0, 1, 0, 1],
     ]
     return BaseCode(7, np.array(gen_c), np.array(gen_perp), 1)
-
-
-def tiny_base_code() -> BaseCode:
-    """m = 3 toy base (C = full space, C^perp = {0}); handy for r = 2 states."""
-    gen_c = np.eye(3, dtype=np.uint8)
-    gen_perp = np.zeros((1, 3), dtype=np.uint8)
-    return BaseCode(3, gen_c, gen_perp, 1)
 
 
 @dataclass(frozen=True)
@@ -310,16 +290,3 @@ def enumerate_codewords(spec: ConcatCodeSpec, b: int) -> list[np.ndarray]:
         ]
 
     return build(int(b), r)
-
-
-def codeword_state(spec: ConcatCodeSpec, b: int) -> PureState:
-    """Uniform superposition over B^(r)_b on m^r qubits."""
-    n = spec.base.m**spec.r
-    if n > STATE_BLOCK_CAP:
-        raise CapacityError(f"codeword state needs {n} qubits, cap {STATE_BLOCK_CAP}")
-    words = enumerate_codewords(spec, b)
-    amps = np.zeros(2**n, dtype=np.complex128)
-    for w in words:
-        amps[int(arr_to_str(w), 2)] = 1.0
-    amps /= math.sqrt(len(words))
-    return PureState(n, amps)

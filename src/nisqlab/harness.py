@@ -14,8 +14,6 @@ with the harness's rate before it runs.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -97,29 +95,6 @@ class Transcript:
     def runtime_units(self) -> int:
         """Simulated cost: n_qubits x n_steps summed over circuit runs."""
         return sum(e.runtime_units for e in self.edges if isinstance(e, CircuitEdge))
-
-    def to_json_lines(self) -> str:
-        lines = []
-        for e in self.edges:
-            if isinstance(e, ClassicalEdge):
-                lines.append(json.dumps({"kind": "classical", "x": e.x, "fx": e.fx}))
-            else:
-                lines.append(
-                    json.dumps(
-                        {
-                            "kind": "circuit",
-                            "circuit": e.circuit_key,
-                            "outcome": e.outcome,
-                            "oracle_calls": e.oracle_calls,
-                            "runtime_units": e.runtime_units,
-                        },
-                        sort_keys=True,
-                    )
-                )
-        return "\n".join(lines)
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.to_json_lines().encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -360,21 +335,6 @@ class LeafDistribution:
             raise UsageError(f"leaf probabilities sum to {total}, not 1")
         if any(p < -1e-12 for p in self.probabilities.values()):
             raise UsageError("negative leaf probability")
-
-    def tv_to(self, other: "LeafDistribution") -> float:
-        return dict_tv(self.probabilities, other.probabilities)
-
-    def answer_marginal(self) -> dict:
-        out: dict = {}
-        for t, p in self.probabilities.items():
-            a = self.answers.get(t)
-            out[a] = out.get(a, 0.0) + p
-        return out
-
-    def to_csv(self) -> str:
-        rows = sorted((t.digest(), p) for t, p in self.probabilities.items())
-        body = "\n".join(f"{h},{p:.17g}" for h, p in rows)
-        return "transcript_hash,probability\n" + body + "\n"
 
 
 def _support(dists) -> list[str]:

@@ -28,7 +28,6 @@ from .qsim import (
     _walk_density,
     haar_unitary,
     partial_trace_tensor,
-    replace_register,
 )
 from .reporting import make_report
 from .seeding import rng_for
@@ -69,10 +68,6 @@ class SubsetSelector:
         bad = [q for q in self.subset if not (0 <= q < self.n_qubits)]
         if bad:
             raise UsageError(f"subset members {bad} outside [0, {self.n_qubits})")
-
-    @property
-    def complement(self) -> frozenset[int]:
-        return frozenset(range(self.n_qubits)) - self.subset
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +149,6 @@ def reduced_state(sigma: DensityMatrix, subset) -> DensityMatrix:
     t = partial_trace_tensor(sigma.tensor(), sigma.n_qubits, keep)
     k = len(keep)
     return DensityMatrix(k, t.reshape(2**k, 2**k), check_psd=False)
-
-
-def restrict_and_decohere(sigma: DensityMatrix, sel: SubsetSelector) -> DensityMatrix:
-    """Replace the complement of S with I/2^{|S^c|}, keeping qubit positions."""
-    n = sigma.n_qubits
-    if sel.n_qubits != n:
-        raise UsageError("selector sized for a different register")
-    drop = tuple(sorted(sel.complement))
-    if not drop:
-        return sigma
-    eye = np.eye(2 ** len(drop), dtype=np.complex128) / 2 ** len(drop)
-    full = replace_register(sigma.tensor(), n, drop, eye)
-    return DensityMatrix(n, full.reshape(2**n, 2**n), check_psd=False)
 
 
 # ---------------------------------------------------------------------------

@@ -16,19 +16,12 @@ import numpy as np
 
 from .bits import extract_field, spread_field
 from .errors import CapacityError, UsageError
-from .qsim import (
-    DENSITY_QUBIT_CAP,
-    PAULI_MATRICES,
-    DensityMatrix,
-    OracleBinding,
-    replace_register,
-)
+from .qsim import PAULI_MATRICES, OracleBinding, replace_register
 from .seeding import rng_for
 
 ORACLE_TABLE_CAP = 22  # max input bits for explicit truth tables
 SIMON_TABLE_CAP = 12  # beyond this, the seeded-bijection construction
 SIMON_WIDTH_CAP = 63  # the bijection draws and mixes int64 words
-SHUFFLING_WIDTH_CAP = 20
 
 
 class QueryCounter:
@@ -41,10 +34,6 @@ class QueryCounter:
     def increment(self, by: int = 1) -> None:
         with self._lock:
             self._count += by
-
-    def reset(self) -> None:
-        with self._lock:
-            self._count = 0
 
     @property
     def value(self) -> int:
@@ -383,23 +372,6 @@ def pauli_string_matrix(pauli: str) -> np.ndarray:
     return out
 
 
-def apply_state_oracle(sigma: DensityMatrix, so: StateOracle, state_register) -> DensityMatrix:
-    """O_rho: replace the state register with rho, keep the work marginal.
-
-    `state_register` is a SubsetSelector or iterable of positions; rho's
-    qubit j lands on the j-th smallest selected position.
-    """
-    subset = getattr(state_register, "subset", state_register)
-    positions = tuple(sorted(int(q) for q in subset))
-    if len(positions) != so.n:
-        raise UsageError(f"state register has {len(positions)} qubits, oracle needs {so.n}")
-    if positions and not (0 <= positions[0] and positions[-1] < sigma.n_qubits):
-        raise UsageError("state register outside the register range")
-    n = sigma.n_qubits
-    out = StateOracleBinding(so).apply_density(sigma.tensor(), positions, n)
-    return DensityMatrix(n, out.reshape(2**n, 2**n), check_psd=False)
-
-
 class StateOracleBinding(OracleBinding):
     """Density-only binding: trajectories cannot host a state-replacement."""
 
@@ -413,138 +385,3 @@ class StateOracleBinding(OracleBinding):
     def apply_density(self, tensor: np.ndarray, wires, n_qubits: int) -> np.ndarray:
         self.oracle.query_counter.increment()
         return replace_register(tensor, n_qubits, tuple(wires), self.oracle.density())
-
-
-# ---------------------------------------------------------------------------
-# shuffling oracle
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class ShufflingOracle:
-    """Levels f_0..f_{d-1} are seeded bijections of {0,1}^W, W = (d+2) n.
-
-    S_d is the image of the lexicographically first 2^n strings under the
-    composition f_{d-1} o ... o f_0; the final level f_d returns the base
-    function's (zero-padded) value on S_d and the all-zero string elsewhere.
-    Levels are sampled on first access.
-    """
-
-    base: ClassicalOracle
-    depth: int
-    seed: int = 0
-    query_counter: QueryCounter = field(default_factory=QueryCounter, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.base.n_in != self.base.m_out:
-            raise UsageError("shuffling base must have n_in == m_out")
-        if self.depth < 1:
-            raise UsageError("depth must be >= 1")
-        if self.width > SHUFFLING_WIDTH_CAP:
-            raise CapacityError(
-                f"shuffling width {self.width} exceeds cap {SHUFFLING_WIDTH_CAP}"
-            )
-        self._levels: list[np.ndarray] | None = None
-        self._final: np.ndarray | None = None
-        self._image: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.base.n_in
-
-    @property
-    def width(self) -> int:
-        return (self.depth + 2) * self.n
-
-    @property
-    def tag_bits(self) -> int:
-        return max(1, math.ceil(math.log2(self.depth + 1)))
-
-    @property
-    def n_register_qubits(self) -> int:
-        return self.tag_bits + 2 * self.width
-
-    def levels(self) -> list[np.ndarray]:
-        if self._levels is None:
-            self._levels = [
-                rng_for(self.seed, 0x5F, i).permutation(2**self.width).astype(np.int64)
-                for i in range(self.depth)
-            ]
-        return self._levels
-
-    def s_d(self) -> np.ndarray:
-        """Image of the first 2^n strings (zero-padded) under the composition."""
-        if self._image is None:
-            cur = np.arange(2**self.n, dtype=np.int64)
-            for lvl in self.levels():
-                cur = lvl[cur]
-            self._image = cur
-        return self._image
-
-    def final_table(self) -> np.ndarray:
-        if self._final is None:
-            table = np.zeros(2**self.width, dtype=np.int64)
-            table[self.s_d()] = self.base.table()
-            self._final = table
-        return self._final
-
-    def evaluate(self, level: int, x: int) -> int:
-        """One counted classical query to f_level."""
-        if not (0 <= level <= self.depth):
-            raise UsageError(f"level {level} outside [0, {self.depth}]")
-        if not (0 <= x < 2**self.width):
-            raise UsageError(f"input {x} outside {self.width} bits")
-        self.query_counter.increment()
-        if level < self.depth:
-            return int(self.levels()[level][x])
-        return int(self.final_table()[x])
-
-
-class ShufflingBinding(PermutationBinding):
-    """|i, x>|y> -> |i, x>|y xor f_i(x)>; tags beyond d act as identity."""
-
-    def __init__(self, oracle: ShufflingOracle):
-        super().__init__(oracle, oracle.n_register_qubits)
-
-    def _own_perm(self) -> np.ndarray:
-        o = self.oracle
-        w, t = o.width, o.tag_bits
-        r = np.arange(2 ** (t + 2 * w), dtype=np.int64)
-        tag = r >> (2 * w)
-        x = (r >> w) & (2**w - 1)
-        stack = np.zeros((2**t, 2**w), dtype=np.int64)
-        stack[: o.depth + 1] = o.levels() + [o.final_table()]
-        return r ^ stack[tag, x]
-
-
-def make_shuffling(f: ClassicalOracle, d: int, seed: int = 0) -> ShufflingOracle:
-    return ShufflingOracle(f, d, seed)
-
-
-def shuffling_channel(
-    sigma: DensityMatrix, f: ClassicalOracle, d: int, k_samples: int = 64, seed: int = 0
-) -> tuple[DensityMatrix, dict]:
-    """Mixture over k_samples fresh shuffling draws, each conjugated exactly.
-
-    The true channel averages over all bijection tuples; that support is far
-    too large, so a fixed K approximates it (K is echoed in the info dict).
-    """
-    probe = ShufflingOracle(f, d, seed=0)
-    n_reg = probe.n_register_qubits
-    if n_reg > DENSITY_QUBIT_CAP:
-        raise CapacityError(
-            f"shuffling channel needs {n_reg} register qubits, cap {DENSITY_QUBIT_CAP}"
-        )
-    if sigma.n_qubits != n_reg:
-        raise UsageError(f"state must cover {n_reg} register qubits")
-    if k_samples < 1:
-        raise UsageError("k_samples must be positive")
-    dim = 2**n_reg
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    rho = sigma.entries
-    for k in range(k_samples):
-        oracle = ShufflingOracle(f, d, seed=int(rng_for(seed, 0x5D, k).integers(0, 2**62)))
-        perm_idx = ShufflingBinding(oracle)._own_perm()
-        acc += rho[perm_idx][:, perm_idx]
-    out = DensityMatrix(n_reg, acc / k_samples, check_psd=False)
-    return out, {"k_samples": k_samples, "register_qubits": n_reg, "depth": d}

@@ -35,6 +35,8 @@ def resolve_seed(seed: int | None) -> int:
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for (seed, *key)."""
-    return np.random.default_rng([int(seed), *map(int, key)])
-
+    """Independent generator for (seed, *key); each entry must be nonnegative."""
+    entropy = [int(seed), *map(int, key)]
+    if min(entropy) < 0:
+        raise UsageError(f"seed and stream key must be nonnegative, got {entropy}")
+    return np.random.default_rng(entropy)

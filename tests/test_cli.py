@@ -143,6 +143,15 @@ def assert_usage_exit(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_simulate_bad_thread_count_is_usage_error(tmp_path, capsys, threads):
+    circ = tmp_path / "bell.json"
+    circ.write_text(bell_json(lam=0.2))
+    argv = ["simulate", "--circuit", str(circ), "--backend", "trajectory", "--threads", threads]
+    assert_usage_exit(argv + ["--out", str(tmp_path)], capsys)
+    assert not (tmp_path / "distribution.csv").exists()
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -354,6 +363,9 @@ def test_noisy_parity_reports_eta(tmp_path):
         ["grover-degradation", "--trials", "-1"],
         ["zalka", "--trials", "-1"],
         ["zalka", "--n", "-1"],
+        ["bv-scaling", "--n", "8", "--threads", "0"],
+        ["noisy-parity", "--threads", "-2"],
+        ["noisy-parity", "--shots", "0"],
     ],
     ids=" ".join,
 )

@@ -22,7 +22,6 @@ from nisqlab.metrics import (
     information,
     kl_divergence,
     reduced_state,
-    restrict_and_decohere,
     separation_bound,
     trace_distance,
     trace_norm_diff,
@@ -158,36 +157,17 @@ class TestKL:
         assert kl_divergence(p, q) == math.inf
 
 
-class TestRestrictAndDecohere:
-    def test_full_subset_identity(self, rng):
-        sigma = random_density(3, rng)
-        out = restrict_and_decohere(sigma, SubsetSelector(3, {0, 1, 2}))
-        np.testing.assert_allclose(out.entries, sigma.entries, atol=1e-12)
-
-    def test_empty_subset_maximally_mixed(self, rng):
-        sigma = random_density(2, rng)
-        out = restrict_and_decohere(sigma, SubsetSelector(2, set()))
-        np.testing.assert_allclose(out.entries, np.eye(4) / 4, atol=1e-12)
-
-    def test_positions_preserved(self):
-        # |0><0| x |1><1| x |+><+| with S = {1}: outer qubits decohere
+class TestSubsetSelector:
+    def test_reduced_state_keeps_selected_factors(self):
+        # |0><0| x |1><1| x |+><+| restricted to S = {0, 2}
         plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         one = np.diag([0.0, 1.0]).astype(complex)
         zero = np.diag([1.0, 0.0]).astype(complex)
         sigma = DensityMatrix(3, np.kron(zero, np.kron(one, plus)))
-        out = restrict_and_decohere(sigma, SubsetSelector(3, {1}))
-        expected = np.kron(np.eye(2) / 2, np.kron(one, np.eye(2) / 2))
-        np.testing.assert_allclose(out.entries, expected, atol=1e-12)
-
-    def test_restriction_retained(self, rng):
-        sigma = random_density(3, rng)
-        sel = SubsetSelector(3, {0, 2})
-        out = restrict_and_decohere(sigma, sel)
-        np.testing.assert_allclose(
-            reduced_state(out, sel).entries, reduced_state(sigma, sel).entries, atol=1e-11
-        )
-        assert np.trace(out.entries).real == pytest.approx(1.0, abs=1e-11)
-        np.testing.assert_allclose(out.entries, out.entries.conj().T, atol=1e-11)
+        out = reduced_state(sigma, SubsetSelector(3, {0, 2}))
+        np.testing.assert_allclose(out.entries, np.kron(zero, plus), atol=1e-12)
+        with pytest.raises(UsageError):
+            reduced_state(sigma, SubsetSelector(3, set()))
 
     def test_selector_validation(self):
         with pytest.raises(UsageError):

@@ -84,3 +84,60 @@ def test_every_default_is_set_by_some_call():
                     if not any(sets(call, name, position) for call in calls.get(callee, []))
                 ]
     assert found == []
+
+
+# library API no src/ or benchmarks/ caller reaches, each kept for a reason
+UNREFERENCED_ALLOWED = {
+    "recursive_majority_decode": "the README describes it as library API",
+    "encode_bit": "the README describes it as library API",
+    "random_zalka_template": "the acceptance gate draws its Zalka templates from it",
+    "enumerate_codewords": "the reference test_sampled_codeword_is_enumerated holds sample_codeword against",
+    "evolve_density": "the full-walk reference assert_readout_paths_agree holds exact_output_distribution against",
+}
+
+
+def _definitions(tree: ast.Module, exported: set[str]):
+    """(qualified name, name, node) for each module-level def, class and
+    constant, and each non-dunder method of a class not in `exported`."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    yield target.id, target.id, node
+        if isinstance(node, ast.ClassDef) and node.name not in exported:
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
+                    yield f"{node.name}.{method.name}", method.name, method
+
+
+def _registered(fn, local: set[str]) -> bool:
+    # a decorator call to a function of the same module, such as verify's `_check`
+    return any(isinstance(d, ast.Call) and _called_name(d.func) in local for d in getattr(fn, "decorator_list", []))
+
+
+def test_every_definition_is_referenced():
+    # only Name, Attribute and import-alias nodes count, so comments and docstrings do not
+    root = PACKAGE.parent.parent
+    refs: list[tuple[Path, int, str]] = []
+    for path in [*PACKAGE.glob("*.py"), *(root / "benchmarks").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                refs.append((path, node.lineno, node.attr))
+            elif isinstance(node, ast.alias):
+                refs.append((path, node.lineno, node.name))
+    exported = set(nisqlab.__all__)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        local = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+        for qualname, name, node in _definitions(tree, exported):
+            if name.startswith("__") or qualname in exported | UNREFERENCED_ALLOWED.keys() or _registered(node, local):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(n == name and not (p == path and line in own) for p, line, n in refs):
+                found.append(f"{path.stem}.{qualname}")
+    assert found == []
