@@ -409,17 +409,6 @@ class OutcomeDistribution:
 # ---------------------------------------------------------------------------
 
 
-def _apply_unitary_tensor(tensor: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Contract u into the given 2-dimensional axes of tensor.
-
-    The target axes are moved to the front, so the contraction is one matmul.
-    """
-    front = tuple(range(len(axes)))
-    moved = np.moveaxis(tensor, axes, front)
-    out = (u @ moved.reshape(len(u), -1)).reshape(moved.shape)
-    return np.moveaxis(out, front, axes)
-
-
 def partial_trace_tensor(tensor: np.ndarray, n: int, keep) -> np.ndarray:
     """Trace a (2,)*2n density tensor down to `keep`; axes stay (rows asc, cols asc)."""
     remaining = list(range(n))
@@ -443,19 +432,12 @@ def replace_register(
     return full.reshape((2,) * (2 * n))
 
 
-def _layer_on_pure(tensor: np.ndarray, lay: GateLayer, axis_offset: int = 0) -> np.ndarray:
-    for g in lay.gates:
-        tensor = _apply_unitary_tensor(
-            tensor, g.matrix, tuple(t + axis_offset for t in g.targets)
-        )
-    return tensor
-
-
 def _block_on_batch(tensor: np.ndarray, block: tuple, order: list[int]) -> tuple[np.ndarray, list[int]]:
     """One of `GateLayer._blocks` on a batch (axis 0) whose axis p + 1 holds qubit
     order[p]: its targets move to the last axes and stay there, so a block is one
     copy and one product.  Returns the C-contiguous result and its order; called
-    per block, so a caller that rebinds its tensor frees each block's input."""
+    per block, so a caller that rebinds its tensor frees each block's input.
+    This is the one kernel that applies a gate matrix to a dense state."""
     targets, m = block
     axes = [1 + order.index(t) for t in targets]
     moved = np.moveaxis(tensor, axes, range(tensor.ndim - len(axes), tensor.ndim))
@@ -464,13 +446,14 @@ def _block_on_batch(tensor: np.ndarray, block: tuple, order: list[int]) -> tuple
 
 
 def _layer_on_density(tensor: np.ndarray, lay: GateLayer, n: int) -> np.ndarray:
-    # row axes 0..n-1, column axes n..2n-1
-    for g in lay.gates:
-        tensor = _apply_unitary_tensor(tensor, g.matrix, g.targets)
-        tensor = _apply_unitary_tensor(
-            tensor, g.matrix.conj(), tuple(t + n for t in g.targets)
-        )
-    return tensor
+    """rho as a one-row batch whose axis q holds row qubit q and axis n + q its
+    column: each block acts on the rows and its conjugate on the columns.
+    Returns a view in that axis order."""
+    tensor, order = tensor[None], list(range(2 * n))
+    for targets, m in lay._blocks:
+        tensor, order = _block_on_batch(tensor, (targets, m), order)
+        tensor, order = _block_on_batch(tensor, (tuple(t + n for t in targets), m.conj()), order)
+    return tensor[0].transpose(np.argsort(order))
 
 
 def _depolarize_density_tensor(tensor: np.ndarray, n: int, lam: float) -> np.ndarray:
@@ -569,6 +552,15 @@ def _draw_product(prod: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _densify(prod: np.ndarray) -> np.ndarray:
+    """The C-contiguous (batch,) + (2,) * n tensor of product-state rows."""
+    batch, n = prod.shape[:2]
+    tensor = prod[:, 0, :]
+    for q in range(1, n):
+        tensor = (tensor[:, :, None] * prod[:, q, None, :]).reshape(batch, -1)
+    return np.ascontiguousarray(tensor.reshape((batch,) + (2,) * n))
+
+
 # ---------------------------------------------------------------------------
 # oracle binding protocol
 # ---------------------------------------------------------------------------
@@ -644,8 +636,10 @@ def apply_gate_layer(state: "PureState | DensityMatrix", lay: GateLayer):
         if not (0 <= t < n):
             raise UsageError(f"gate target {t} outside [0, {n})")
     if isinstance(state, PureState):
-        out = _layer_on_pure(state.tensor(), lay)
-        return PureState(n, out.reshape(-1))
+        tensor, order = state.tensor()[None], list(range(n))
+        for block in lay._blocks:
+            tensor, order = _block_on_batch(tensor, block, order)
+        return PureState(n, tensor[0].transpose(np.argsort(order)).reshape(-1))
     if isinstance(state, DensityMatrix):
         out = _layer_on_density(state.tensor(), lay, n)
         return DensityMatrix(n, out.reshape(2**n, 2**n), check_psd=False)
@@ -666,7 +660,8 @@ def _walk_density(circuit: NoisyCircuit, oracle_bindings=None):
     if n > DENSITY_QUBIT_CAP:
         raise CapacityError(f"density backend supports n <= {DENSITY_QUBIT_CAP}, got {n}")
     lam = circuit.noise.value
-    rho = DensityMatrix.zero(n).tensor()
+    rho = np.zeros((2,) * (2 * n), dtype=np.complex128)
+    rho[(0,) * (2 * n)] = 1.0
     for op in circuit.schedule():
         if op is None:
             rho = _depolarize_density_tensor(rho, n, lam)
@@ -708,15 +703,11 @@ def evolve_statevector(circuit: NoisyCircuit, oracle_bindings=None) -> PureState
         raise CapacityError(
             f"statevector backend supports n <= {STATEVECTOR_QUBIT_CAP}, got {n}"
         )
-    tensor = np.zeros((2,) * n, dtype=np.complex128)
-    tensor.reshape(-1)[0] = 1.0
-    for step in circuit.steps:
-        if isinstance(step, GateLayer):
-            tensor = _layer_on_pure(tensor, step)
-        else:
-            binding = _resolve_binding(oracle_bindings, step)
-            tensor = binding.apply_statevector(tensor, step.wires, n)
-    return PureState(n, tensor.reshape(-1))
+    # the noiseless one-row case of the trajectory walk
+    prod, tensor, order = _walk_rows(circuit.schedule(), oracle_bindings, n, 1, 0.0, None)
+    if tensor is None:
+        tensor = _densify(prod)
+    return PureState(n, tensor[0].transpose(np.argsort(order)).reshape(-1))
 
 
 def circuit_fingerprint(circuit: NoisyCircuit) -> int:
@@ -737,6 +728,50 @@ def _chunk_rows(n: int) -> int:
             f"trajectory backend supports n <= {STATEVECTOR_QUBIT_CAP}, got {n}"
         )
     return max(1, _CHUNK_AMPLITUDES // (2**n))
+
+
+def _walk_rows(ops, oracle_bindings, n: int, batch: int, lam: float, u) -> tuple:
+    """Run schedule ops on `batch` rows that start in |0..0>; noise op k reads
+    its uniforms from columns [k n, (k + 1) n) of u.  Returns (prod, tensor,
+    order), one of prod and tensor None: prod[:, q, :] holds each row's
+    qubit-q amplitudes while all rows are product states, and tensor axis
+    p + 1 holds qubit order[p] once they are not.  The block loop runs in
+    this frame, which owns the tensor, so each block's input is freed."""
+    # Rows stay product states until the first entangling step, so gates and
+    # noise cost O(batch n) there instead of O(batch 2^n); the first 2-qubit
+    # gate or oracle call densifies.
+    prod: np.ndarray | None = np.zeros((batch, n, 2), dtype=np.complex128)
+    prod[:, :, 0] = 1.0
+    # noise views each qubit where it sits, oracles see qubit order
+    tensor: np.ndarray | None = None
+    order = list(range(n))
+    col = 0
+    for op in ops:
+        if op is None:
+            if lam == 0.0:
+                continue
+            block = u[:, col : col + n]
+            col += n
+            if prod is not None:
+                _pauli_noise(lambda q: prod[:, q, None, :, None], n, lam, block)
+            else:  # tensor is C-contiguous here, so each reshape is a view
+                _pauli_noise(lambda q: tensor.reshape(batch, 1 << order.index(q), 2, -1), n, lam, block)
+        elif prod is not None and isinstance(op, GateLayer) and all(len(g.targets) == 1 for g in op.gates):
+            for g in op.gates:
+                q = g.targets[0]
+                prod[:, q, :] = prod[:, q, :] @ g.matrix.T
+        else:
+            if prod is not None:
+                tensor, prod = _densify(prod), None
+            if isinstance(op, GateLayer):
+                for block in op._blocks:
+                    tensor, order = _block_on_batch(tensor, block, order)
+            else:
+                tensor = tensor.transpose(0, *(1 + np.argsort(order)))
+                binding = _resolve_binding(oracle_bindings, op)
+                tensor = np.ascontiguousarray(binding.apply_statevector(tensor, op.wires, n))
+                order = list(range(n))
+    return prod, tensor, order
 
 
 def _sample_chunk(
@@ -767,46 +802,8 @@ def _sample_chunk(
     width = schedule.count(None) * n + 1 if lam > 0.0 else 1
     rng.bit_generator.advance(start * width)
     u = rng.random((batch, width))  # column 0 is the measurement draw
-    col = 1
-
-    # Trajectories start in |0..0> and stay product states until the first
-    # entangling step, so gates and noise cost O(batch n) there instead of
-    # O(batch 2^n).  prod[:, q, :] holds each trajectory's qubit-q
-    # amplitudes; the first 2-qubit gate or oracle call densifies.
-    prod: np.ndarray | None = np.zeros((batch, n, 2), dtype=np.complex128)
-    prod[:, :, 0] = 1.0
-    # Tensor axis p + 1 holds qubit order[p] (see _block_on_batch): noise
-    # views each qubit where it sits, oracles and readout see qubit order.
-    tensor: np.ndarray | None = None
-    order = list(range(n))
-    for op in schedule[:cut]:
-        if op is None:
-            if lam == 0.0:
-                continue
-            block = u[:, col : col + n]
-            col += n
-            if prod is not None:
-                _pauli_noise(lambda q: prod[:, q, None, :, None], n, lam, block)
-            else:  # tensor is C-contiguous here, so each reshape is a view
-                _pauli_noise(lambda q: tensor.reshape(batch, 1 << order.index(q), 2, -1), n, lam, block)
-        elif prod is not None and isinstance(op, GateLayer) and all(len(g.targets) == 1 for g in op.gates):
-            for g in op.gates:
-                q = g.targets[0]
-                prod[:, q, :] = prod[:, q, :] @ g.matrix.T
-        else:
-            if prod is not None:
-                tensor = prod[:, 0, :]
-                for q in range(1, n):
-                    tensor = (tensor[:, :, None] * prod[:, q, None, :]).reshape(batch, -1)
-                tensor, prod = np.ascontiguousarray(tensor.reshape((batch,) + (2,) * n)), None
-            if isinstance(op, GateLayer):
-                for block in op._blocks:
-                    tensor, order = _block_on_batch(tensor, block, order)
-            else:
-                tensor = tensor.transpose(0, *(1 + np.argsort(order)))
-                binding = _resolve_binding(oracle_bindings, op)
-                tensor = np.ascontiguousarray(binding.apply_statevector(tensor, op.wires, n))
-                order = list(range(n))
+    prod, tensor, order = _walk_rows(schedule[:cut], oracle_bindings, n, batch, lam, u[:, 1:])
+    col = 1 + schedule[:cut].count(None) * n
     if prod is not None:
         outcomes = _draw_product(prod, u[:, 0])
     else:
@@ -960,22 +957,33 @@ def circuit_to_json(circuit: NoisyCircuit) -> str:
 def circuit_from_json(text: str) -> NoisyCircuit:
     try:
         doc = json.loads(text)
-        return NoisyCircuit(doc["n_qubits"], tuple(_step_from_json(raw) for raw in doc["steps"]), doc["lambda"])
+        lam = doc["lambda"]
+        if isinstance(lam, bool) or not isinstance(lam, (int, float)):
+            raise UsageError(f"lambda must be a number, got {lam!r}")
+        steps = tuple(_step_from_json(raw) for raw in doc["steps"])
+        return NoisyCircuit(_json_int(doc["n_qubits"], "n_qubits"), steps, lam)
     except KeyError as exc:
         raise UsageError(f"circuit JSON missing field: {exc}") from exc
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"invalid circuit JSON: {exc}") from exc
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer: a boolean, a fractional or an infinite number is none."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _step_from_json(raw: dict) -> CircuitStep:
     kind = raw.get("type")
     if kind == "oracle":
-        return OracleCall(raw["id"], tuple(raw["wires"]))
+        return OracleCall(raw["id"], tuple(_json_int(w, "oracle wire") for w in raw["wires"]))
     if kind != "layer":
         raise UsageError(f"unknown step type {kind!r}")
     gates = []
     for g in raw["gates"]:
-        targets = tuple(g["targets"])
+        targets = tuple(_json_int(t, "gate target") for t in g["targets"])
         if "name" not in g:
             gates.append(Gate(_matrix_from_json(g["matrix"]), targets))
         elif g["name"] in _NAMED_GATES:

@@ -17,6 +17,22 @@ def counts_to_probs(counts: dict[str, int]) -> dict[str, float]:
     return {k: v / total for k, v in counts.items()}
 
 
+def apply_unitary_tensor(tensor: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Gate-by-gate reference: contract u into the given 2-dimensional axes of
+    tensor, moving the target axes to the front and back again."""
+    front = tuple(range(len(axes)))
+    moved = np.moveaxis(tensor, axes, front)
+    out = (u @ moved.reshape(len(u), -1)).reshape(moved.shape)
+    return np.moveaxis(out, front, axes)
+
+
+def layer_gate_by_gate(tensor: np.ndarray, lay) -> np.ndarray:
+    """A gate layer on a (2,) * n tensor through `apply_unitary_tensor`, one gate at a time."""
+    for g in lay.gates:
+        tensor = apply_unitary_tensor(tensor, g.matrix, g.targets)
+    return tensor
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

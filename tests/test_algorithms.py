@@ -50,17 +50,17 @@ from nisqlab.qsim import (
 )
 from nisqlab.seeding import rng_for
 
+from conftest import layer_gate_by_gate
+
 
 def circuit_unitary(steps, n):
     """Assemble the unitary a noiseless gate-step list implements."""
-    from nisqlab.qsim import _layer_on_pure
-
     cols = []
     for i in range(2**n):
         tensor = np.zeros((2,) * n, dtype=np.complex128)
         tensor.reshape(-1)[i] = 1.0
         for st in steps:
-            tensor = _layer_on_pure(tensor, st)
+            tensor = layer_gate_by_gate(tensor, st)
         cols.append(tensor.reshape(-1))
     return np.stack(cols, axis=1)
 

@@ -161,6 +161,15 @@ def test_simulate_bad_thread_count_is_usage_error(tmp_path, capsys, threads):
         {"n_qubits": 1, "lambda": 0.1, "steps": [5]},
         {"n_qubits": 1, "lambda": 0.1, "steps": [{"type": "layer", "gates": [{"matrix": 5, "targets": [0]}]}]},
         {"n_qubits": 1, "lambda": 0.1, "steps": [{"type": "layer", "gates": [{"name": "H", "targets": [float("inf")]}]}]},
+        {"n_qubits": 2.9, "lambda": 0.1, "steps": []},
+        {"n_qubits": True, "lambda": 0.1, "steps": []},
+        {"n_qubits": "2", "lambda": 0.1, "steps": []},
+        {"n_qubits": 1, "lambda": 0.1, "steps": [{"type": "layer", "gates": [{"name": "H", "targets": [0.7]}]}]},
+        {"n_qubits": 2, "lambda": 0.1, "steps": [{"type": "layer", "gates": [{"name": "H", "targets": [True]}]}]},
+        {"n_qubits": 2, "lambda": 0.1, "steps": [{"type": "oracle", "id": "O", "wires": [0, 1.5]}]},
+        {"n_qubits": 2, "lambda": 0.1, "steps": [{"type": "oracle", "id": "O", "wires": [False, 1]}]},
+        {"n_qubits": 1, "lambda": True, "steps": []},
+        {"n_qubits": 1, "lambda": "0.1", "steps": []},
     ],
     ids=[
         "layer-without-gates",
@@ -169,6 +178,15 @@ def test_simulate_bad_thread_count_is_usage_error(tmp_path, capsys, threads):
         "non-object-step",
         "scalar-matrix",
         "infinite-target",
+        "fractional-n-qubits",
+        "boolean-n-qubits",
+        "string-n-qubits",
+        "fractional-target",
+        "boolean-target",
+        "fractional-wire",
+        "boolean-wire",
+        "boolean-lambda",
+        "string-lambda",
     ],
 )
 def test_simulate_malformed_circuit_usage(tmp_path, capsys, doc):

@@ -38,6 +38,8 @@ from nisqlab.qsim import (
     layer,
 )
 
+from conftest import apply_unitary_tensor
+
 
 def random_density(n: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
     dim = 2**n
@@ -63,11 +65,11 @@ class _UnitaryBinding(qsim.OracleBinding):
 
     def apply_statevector(self, tensor, wires, n_qubits):
         offset = tensor.ndim - n_qubits
-        return qsim._apply_unitary_tensor(tensor, self.u, (wires[0] + offset,))
+        return apply_unitary_tensor(tensor, self.u, (wires[0] + offset,))
 
     def apply_density(self, tensor, wires, n_qubits):
-        tensor = qsim._apply_unitary_tensor(tensor, self.u, (wires[0],))
-        return qsim._apply_unitary_tensor(tensor, self.u.conj(), (wires[0] + n_qubits,))
+        tensor = apply_unitary_tensor(tensor, self.u, (wires[0],))
+        return apply_unitary_tensor(tensor, self.u.conj(), (wires[0] + n_qubits,))
 
 
 class TestTraceDistance:

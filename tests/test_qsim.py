@@ -49,7 +49,7 @@ from nisqlab.qsim import (
 )
 from nisqlab.seeding import rng_for
 
-from conftest import counts_to_probs, tv_dicts
+from conftest import apply_unitary_tensor, counts_to_probs, layer_gate_by_gate, tv_dicts
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -182,8 +182,25 @@ class TestApplyGateLayer:
             out = apply_gate_layer(DensityMatrix(n, rho), lay).entries
             np.testing.assert_allclose(out, full @ rho @ full.conj().T, rtol=0, atol=1e-12)
             batch = random_amplitudes(rng, 3, 2**n)
-            out = qsim._layer_on_pure(batch.reshape((3,) + (2,) * n), lay, axis_offset=1)
+            out, order = batch.reshape((3,) + (2,) * n), list(range(n))
+            for block in lay._blocks:
+                out, order = qsim._block_on_batch(out, block, order)
+            out = out.transpose(0, *(1 + np.argsort(order)))
             np.testing.assert_allclose(out.reshape(3, -1), batch @ full.T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_multi_block_density_layer_matches_gate_by_gate(self, n):
+        rng = np.random.default_rng([n, 0xD3])
+        lay = qsim.random_layer(n, rng, 1.0)
+        assert len(lay._blocks) >= 2
+        a = random_amplitudes(rng, 2**n, 2**n)
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        ref = rho.reshape((2,) * (2 * n))
+        for g in lay.gates:  # U rho U^dagger, one gate at a time
+            ref = apply_unitary_tensor(ref, g.matrix, g.targets)
+            ref = apply_unitary_tensor(ref, g.matrix.conj(), tuple(t + n for t in g.targets))
+        out = apply_gate_layer(DensityMatrix(n, rho), lay).entries
+        np.testing.assert_allclose(out, ref.reshape(2**n, 2**n), rtol=0, atol=1e-12)
 
 
 class TestDepolarize:
@@ -598,7 +615,7 @@ class TestFusedLayers:
             assert sorted(t for targets, _ in lay._blocks for t in targets) == sorted(lay.targets)
             assert all(len(targets) <= qsim._FUSE_QUBITS for targets, _ in lay._blocks)
             for g in lay.gates:
-                ref = qsim._apply_unitary_tensor(ref, g.matrix, tuple(t + 1 for t in g.targets))
+                ref = apply_unitary_tensor(ref, g.matrix, tuple(t + 1 for t in g.targets))
             for block in lay._blocks:
                 fused, order = qsim._block_on_batch(fused, block, order)
                 assert fused.flags.c_contiguous
@@ -627,7 +644,7 @@ class TestFusedLayers:
                 qsim._pauli_noise(lambda q: ref.reshape(rows, 1 << q, 2, -1), n, 0.3, block)
             else:
                 for g in op.gates:
-                    ref = qsim._apply_unitary_tensor(ref, g.matrix, tuple(t + 1 for t in g.targets))
+                    ref = apply_unitary_tensor(ref, g.matrix, tuple(t + 1 for t in g.targets))
         probs = np.abs(ref.reshape(rows, -1)) ** 2
         cum = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
         expected = np.minimum((cum <= u[:, :1]).sum(axis=1), 2**n - 1)
@@ -646,6 +663,23 @@ class TestFusedLayers:
         assert qsim._monomial_tail(circ.schedule(), b, n)[0] == len(circ.schedule())
         exact = exact_output_distribution(circ, b).as_array()
         assert_tv_within_3_sigma(exact, sample_outcomes(circ, b, seed=n, shots=40000))
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_statevector_oracle_between_multi_block_layers(self, n):
+        # the one-row walk must restore qubit order before the oracle call
+        rng = np.random.default_rng([n, 0x5F])
+        wires = tuple(int(w) for w in rng.permutation(n)[:4])
+        b = {"O": lift_to_unitary(random_oracle(rng, len(wires) - 1, 1))}
+        first, last = qsim.random_layer(n, rng, 1.0), qsim.random_layer(n, rng, 1.0)
+        assert len(first._blocks) >= 2 and len(last._blocks) >= 2
+        ref = np.zeros((2,) * n, dtype=complex)
+        ref[(0,) * n] = 1.0
+        ref = layer_gate_by_gate(ref, first)
+        ref = b["O"].apply_statevector(ref, wires, n)
+        ref = layer_gate_by_gate(ref, last)
+        circ = NoisyCircuit(n, [first, OracleCall("O", wires), last], 0.0)
+        out = qsim.evolve_statevector(circ, b).amplitudes
+        np.testing.assert_allclose(out, ref.reshape(-1), rtol=0, atol=1e-12)
 
     def test_stream_prefix_matches_batch_with_two_blocks_a_layer(self):
         circ = qsim.random_circuit(8, 3, 0.2, np.random.default_rng(0x5E), p_two=1.0)
