@@ -37,10 +37,15 @@ STATEVECTOR_QUBIT_CAP = 22
 UNITARY_ATOL = 1e-12
 STATE_ATOL = 1e-9
 
-# chunk size for batched sampling, in amplitudes; chosen so one chunk's
-# state buffer stays ~32 MB. The chunk layout depends only on (n, shots),
-# never on thread count, so results are scheduling-independent.
+# chunk size for batched sampling, in amplitudes: it fixes the RNG stream
+# layout, one stream per chunk, and depends only on (n, shots), never on
+# thread count, so results are scheduling-independent.
 _CHUNK_AMPLITUDES = 2**21
+# row tile of a chunk's dense phase, in amplitudes: it fixes the working set,
+# 1 MB of state that stays in L2 with the block kernel's copy and product.
+# Of 2^15..2^18, fastest on the `checks` BV runs and near the fastest on
+# `sampling`, with the smallest footprint of those (BENCH_row_tiles.json)
+_TILE_AMPLITUDES = 2**16
 _CHUNK_STREAM_TAG = 0x6368756E
 # widest fused gate block, in qubits: fastest of 3..6 on `sampling` (BENCH_gate_fusion.json)
 _FUSE_QUBITS = 5
@@ -456,15 +461,21 @@ def _layer_on_density(tensor: np.ndarray, lay: GateLayer, n: int) -> np.ndarray:
     return tensor[0].transpose(np.argsort(order))
 
 
-def _depolarize_density_tensor(tensor: np.ndarray, n: int, lam: float) -> np.ndarray:
+def _depolarize_scale(n: int, lam: float) -> np.ndarray:
+    """The 2^n x 2^n table (1 - lam)^popcount(i xor j); it depends on (n, lam) only."""
+    idx = np.arange(2**n, dtype=np.uint16)
+    return ((1.0 - lam) ** np.arange(n + 1))[np.bitwise_count(idx[:, None] ^ idx)]
+
+
+def _depolarize_density_tensor(tensor: np.ndarray, n: int, lam: float, scale=None) -> np.ndarray:
     """D_lam on every qubit, into a new tensor (`tensor` is never written).  The
     per-qubit channels commute: each scales the blocks off-diagonal in its qubit by
-    1 - lam, for all qubits at once a product with (1 - lam)^popcount(i xor j), and
-    mixes its two diagonal blocks by lam / 2, here in place on that product."""
+    1 - lam, for all qubits at once a product with `scale`, the
+    `_depolarize_scale(n, lam)` table (built here if None), and mixes its two
+    diagonal blocks by lam / 2, here in place on that product."""
     if lam == 0.0:
         return tensor
-    idx = np.arange(2**n, dtype=np.uint16)
-    scale = ((1.0 - lam) ** np.arange(n + 1))[np.bitwise_count(idx[:, None] ^ idx)]
+    scale = _depolarize_scale(n, lam) if scale is None else scale
     out = np.multiply(tensor, scale.reshape(tensor.shape), order="C")  # C order: reshapes below are views
     for q in range(n):
         v = out.reshape(2**q, 2, 2 ** (n - 1), 2, 2 ** (n - 1 - q))
@@ -557,7 +568,10 @@ def _densify(prod: np.ndarray) -> np.ndarray:
     batch, n = prod.shape[:2]
     tensor = prod[:, 0, :]
     for q in range(1, n):
-        tensor = (tensor[:, :, None] * prod[:, q, None, :]).reshape(batch, -1)
+        out = np.empty((batch, tensor.shape[1], 2), dtype=prod.dtype)
+        for k in range(2):  # one product per value of qubit q: long inner loops
+            np.multiply(tensor, prod[:, q, k, None], out=out[:, :, k])
+        tensor = out.reshape(batch, -1)
     return np.ascontiguousarray(tensor.reshape((batch,) + (2,) * n))
 
 
@@ -662,9 +676,10 @@ def _walk_density(circuit: NoisyCircuit, oracle_bindings=None):
     lam = circuit.noise.value
     rho = np.zeros((2,) * (2 * n), dtype=np.complex128)
     rho[(0,) * (2 * n)] = 1.0
+    scale = _depolarize_scale(n, lam) if lam > 0.0 else None  # one table a walk
     for op in circuit.schedule():
         if op is None:
-            rho = _depolarize_density_tensor(rho, n, lam)
+            rho = _depolarize_density_tensor(rho, n, lam, scale)
         elif isinstance(op, GateLayer):
             rho = _layer_on_density(rho, op, n)
         else:
@@ -704,7 +719,7 @@ def evolve_statevector(circuit: NoisyCircuit, oracle_bindings=None) -> PureState
             f"statevector backend supports n <= {STATEVECTOR_QUBIT_CAP}, got {n}"
         )
     # the noiseless one-row case of the trajectory walk
-    prod, tensor, order = _walk_rows(circuit.schedule(), oracle_bindings, n, 1, 0.0, None)
+    ((_, prod, tensor, order),) = _walk_rows(circuit.schedule(), oracle_bindings, n, 0.0, np.empty((1, 0)))
     if tensor is None:
         tensor = _densify(prod)
     return PureState(n, tensor[0].transpose(np.argsort(order)).reshape(-1))
@@ -730,23 +745,21 @@ def _chunk_rows(n: int) -> int:
     return max(1, _CHUNK_AMPLITUDES // (2**n))
 
 
-def _walk_rows(ops, oracle_bindings, n: int, batch: int, lam: float, u) -> tuple:
-    """Run schedule ops on `batch` rows that start in |0..0>; noise op k reads
-    its uniforms from columns [k n, (k + 1) n) of u.  Returns (prod, tensor,
-    order), one of prod and tensor None: prod[:, q, :] holds each row's
-    qubit-q amplitudes while all rows are product states, and tensor axis
-    p + 1 holds qubit order[p] once they are not.  The block loop runs in
-    this frame, which owns the tensor, so each block's input is freed."""
+def _walk_rows(ops, oracle_bindings, n: int, lam: float, u, tensor=None):
+    """Run schedule ops on len(u) rows that start in |0..0>, or start as the
+    dense `tensor`; noise op k reads its uniforms from columns [k n, (k + 1) n)
+    of u.  Yields (start, prod, tensor, order) per tile of rows from `start`
+    on, one of prod and tensor None: prod[:, q, :] holds each row's qubit-q
+    amplitudes while all rows are product states, and tensor axis p + 1 holds
+    qubit order[p] once they are not.  The block loop runs in the frame that
+    owns the tensor, so each block's input is freed."""
     # Rows stay product states until the first entangling step, so gates and
     # noise cost O(batch n) there instead of O(batch 2^n); the first 2-qubit
-    # gate or oracle call densifies.
-    prod: np.ndarray | None = np.zeros((batch, n, 2), dtype=np.complex128)
-    prod[:, :, 0] = 1.0
+    # gate or oracle call densifies, one cache-sized tile of rows at a time.
+    batch, col, order = len(u), 0, list(range(n))
+    prod = None if tensor is not None else np.tile(np.array([1, 0], dtype=np.complex128), (batch, n, 1))
     # noise views each qubit where it sits, oracles see qubit order
-    tensor: np.ndarray | None = None
-    order = list(range(n))
-    col = 0
-    for op in ops:
+    for i, op in enumerate(ops):
         if op is None:
             if lam == 0.0:
                 continue
@@ -760,18 +773,22 @@ def _walk_rows(ops, oracle_bindings, n: int, batch: int, lam: float, u) -> tuple
             for g in op.gates:
                 q = g.targets[0]
                 prod[:, q, :] = prod[:, q, :] @ g.matrix.T
+        elif prod is not None:
+            # a row's arithmetic does not depend on the rows that share its tile
+            r = max(1, _TILE_AMPLITUDES >> n)
+            for s in range(0, batch, r):
+                tile = _walk_rows(ops[i:], oracle_bindings, n, lam, u[s : s + r, col:], _densify(prod[s : s + r]))
+                yield (s, *next(tile)[1:])
+            return
+        elif isinstance(op, GateLayer):
+            for block in op._blocks:
+                tensor, order = _block_on_batch(tensor, block, order)
         else:
-            if prod is not None:
-                tensor, prod = _densify(prod), None
-            if isinstance(op, GateLayer):
-                for block in op._blocks:
-                    tensor, order = _block_on_batch(tensor, block, order)
-            else:
-                tensor = tensor.transpose(0, *(1 + np.argsort(order)))
-                binding = _resolve_binding(oracle_bindings, op)
-                tensor = np.ascontiguousarray(binding.apply_statevector(tensor, op.wires, n))
-                order = list(range(n))
-    return prod, tensor, order
+            tensor = tensor.transpose(0, *(1 + np.argsort(order)))
+            binding = _resolve_binding(oracle_bindings, op)
+            tensor = np.ascontiguousarray(binding.apply_statevector(tensor, op.wires, n))
+            order = list(range(n))
+    yield 0, prod, tensor, order
 
 
 def _sample_chunk(
@@ -802,15 +819,18 @@ def _sample_chunk(
     width = schedule.count(None) * n + 1 if lam > 0.0 else 1
     rng.bit_generator.advance(start * width)
     u = rng.random((batch, width))  # column 0 is the measurement draw
-    prod, tensor, order = _walk_rows(schedule[:cut], oracle_bindings, n, batch, lam, u[:, 1:])
     col = 1 + schedule[:cut].count(None) * n
-    if prod is not None:
-        outcomes = _draw_product(prod, u[:, 0])
-    else:
-        probs = (np.abs(tensor) ** 2).transpose(0, *(1 + np.argsort(order))).reshape(batch, -1)
+    parts = []
+    for s, prod, tensor, order in _walk_rows(schedule[:cut], oracle_bindings, n, lam, u[:, 1:]):
+        if prod is not None:
+            parts.append(_draw_product(prod, u[:, 0]))
+            continue
+        rows = len(tensor)
+        probs = (np.abs(tensor) ** 2).transpose(0, *(1 + np.argsort(order))).reshape(rows, -1)
         probs /= probs.sum(axis=1, keepdims=True)
         cum = np.cumsum(probs, axis=1)
-        outcomes = np.minimum((cum <= u[:, :1]).sum(axis=1), 2**n - 1)
+        parts.append(np.minimum((cum <= u[s : s + rows, :1]).sum(axis=1), 2**n - 1))
+    outcomes = np.concatenate(parts)
     bit_values = 1 << np.arange(n - 1, -1, -1)
     for op in tail:
         if op is not None:

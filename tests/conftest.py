@@ -33,6 +33,16 @@ def layer_gate_by_gate(tensor: np.ndarray, lay) -> np.ndarray:
     return tensor
 
 
+def densify_broadcast(prod: np.ndarray) -> np.ndarray:
+    """Product-state rows (batch, n, 2) as a (batch,) + (2,) * n tensor, one
+    broadcast product per qubit, with the operand order of `qsim._densify`."""
+    batch, n = prod.shape[:2]
+    tensor = prod[:, 0, :]
+    for q in range(1, n):
+        tensor = (tensor[:, :, None] * prod[:, q, None, :]).reshape(batch, -1)
+    return np.ascontiguousarray(tensor.reshape((batch,) + (2,) * n))
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

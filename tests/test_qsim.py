@@ -49,7 +49,7 @@ from nisqlab.qsim import (
 )
 from nisqlab.seeding import rng_for
 
-from conftest import apply_unitary_tensor, counts_to_probs, layer_gate_by_gate, tv_dicts
+from conftest import apply_unitary_tensor, counts_to_probs, densify_broadcast, layer_gate_by_gate, tv_dicts
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -687,6 +687,56 @@ class TestFusedLayers:
         for m in (1, 100, 300):
             stream = Counter(itertools.islice(qsim.sample_stream(circ, seed=3), m))
             assert dict(stream) == sample_outcomes(circ, seed=3, shots=m)
+
+
+def row_tile_cases(n: int) -> dict:
+    """(circuit, bindings) whose dense phases start from different columns of u:
+    after one noise layer, or after three ("entangles_late"), or at column 0
+    of an empty noise draw ("noiseless")."""
+    rng = np.random.default_rng([n, 0x7113])
+    first, last = qsim.random_layer(n, rng, 1.0), qsim.random_layer(n, rng, 1.0)
+    wires = tuple(int(w) for w in rng.permutation(n)[:4])
+    tail, bindings = random_monomial_tail(n, rng)
+    bindings["O"] = lift_to_unitary(random_oracle(rng, len(wires) - 1, 1))
+    local = [layer(*[Gate(qsim.haar_unitary(2, rng), (q,)) for q in range(n)]) for _ in range(2)]
+    return {
+        "haar": (qsim.random_circuit(n, 3, 0.3, rng, p_two=1.0), None),
+        "oracle_then_tail": (NoisyCircuit(n, [first, OracleCall("O", wires), last, *tail], 0.1), bindings),
+        "noiseless": (NoisyCircuit(n, [first, last], 0.0), None),
+        "entangles_late": (NoisyCircuit(n, [*local, first, last], 0.2), None),
+    }
+
+
+class TestRowTiles:
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_densify_matches_the_broadcast_bit_for_bit(self, n):
+        prod = random_amplitudes(np.random.default_rng([n, 0xD5]), 5, n, 2)
+        got = qsim._densify(prod)
+        assert got.shape == (5,) + (2,) * n and got.flags.c_contiguous
+        assert got.tobytes() == densify_broadcast(prod).tobytes()
+
+    @pytest.mark.parametrize("case", ["haar", "oracle_then_tail", "noiseless", "entangles_late"])
+    def test_tiles_draw_the_untiled_outcomes(self, case, monkeypatch):
+        # 3-row tiles divide neither the shots nor the stream's row ranges
+        # 64, 64, 128, 256, so tiles end inside every range
+        n, shots = 7, 700
+        circ, bindings = row_tile_cases(n)[case]
+        cut = qsim._monomial_tail(circ.schedule(), bindings, n)[0]
+        assert (cut < len(circ.schedule())) == (case == "oracle_then_tail")
+        assert any(len(op._blocks) >= 2 for op in circ.steps if isinstance(op, GateLayer))
+
+        def run() -> tuple:
+            stream = list(itertools.islice(qsim.sample_stream(circ, bindings, seed=5), 300))
+            return sample_outcomes(circ, bindings, seed=5, shots=shots), stream
+
+        monkeypatch.setattr(qsim, "_TILE_AMPLITUDES", qsim._CHUNK_AMPLITUDES)
+        untiled = run()
+        tiles: list[int] = []
+        densify = qsim._densify
+        monkeypatch.setattr(qsim, "_TILE_AMPLITUDES", 3 << n)
+        monkeypatch.setattr(qsim, "_densify", lambda prod: tiles.append(len(prod)) or densify(prod))
+        assert run() == untiled
+        assert max(tiles) == 3 and sum(tiles) == shots + 512  # the stream simulates rows [0, 512)
 
 
 class TestSerialization:
