@@ -39,6 +39,7 @@ from .qsim import (
     OracleCall,
     X,
     _as_noise_rate,
+    _built,
     depolarize_all,
     evolve_statevector,
     exact_output_distribution,
@@ -254,13 +255,12 @@ def run_noisy_grover(
 
 
 def grover_zalka_template(n_search: int, iterations: int) -> NoisyCircuit:
-    n = max(1, (n_search - 1).bit_length())
-    return grover_circuit(n, iterations, 0.0)
+    return grover_circuit(GroverOracle(n_search, 0).n_wires, iterations, 0.0)
 
 
 def random_zalka_template(n_search: int, iterations: int, rng: np.random.Generator) -> NoisyCircuit:
     """Random noiseless layers interleaved with `iterations` oracle calls."""
-    n = max(1, (n_search - 1).bit_length())
+    n = GroverOracle(n_search, 0).n_wires
     steps: list = [random_layer(n, rng)]
     for _ in range(iterations):
         steps.append(OracleCall("G", tuple(range(n))))
@@ -365,10 +365,8 @@ def shadow_distinguish(
         raise CapacityError(f"exact distinguishing caps at {SHADOW_EXACT_CAP} qubits")
     if queries < 1:
         raise UsageError("need at least one query")
-    rho1 = depolarize_all(
-        DensityMatrix(n, StateOracle(n, pauli, 1).density(), check_psd=False), noise
-    )
-    rho0 = depolarize_all(DensityMatrix(n, StateOracle(n, pauli, 0).density(), check_psd=False), noise)
+    rho1 = depolarize_all(_built(DensityMatrix, n, StateOracle(n, pauli, 1).density()), noise)
+    rho0 = depolarize_all(_built(DensityMatrix, n, StateOracle(n, pauli, 0).density()), noise)
     per_query = trace_norm(rho1.entries - rho0.entries)
     p_mat = pauli_string_matrix(pauli)
     p1 = 0.5 * (1.0 + float(np.trace(p_mat @ rho1.entries).real))

@@ -516,7 +516,7 @@ def _exp_zalka(p: _Params) -> _Record:
 def _exp_subset_separation(p: _Params) -> _Record:
     m_bits = p.single_n(16)
     delta = float(p.get("delta", 0.05))
-    trials = int(p.get("trials", 200))
+    trials = p.count("trials", 200)
     seed = p.seed()
     rows = []
     for size in (4, 8, 16):

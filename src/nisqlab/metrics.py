@@ -23,6 +23,7 @@ from .qsim import (
     PureState,
     _as_noise_rate,
     _bit_flip_noise,
+    _built,
     _depolarize_density_tensor,
     _readout,
     _walk_density,
@@ -146,9 +147,7 @@ def reduced_state(sigma: DensityMatrix, subset) -> DensityMatrix:
     keep = sorted(sel.subset)
     if not keep:
         raise UsageError("cannot build a 0-qubit state; handle the empty subset upstream")
-    t = partial_trace_tensor(sigma.tensor(), sigma.n_qubits, keep)
-    k = len(keep)
-    return DensityMatrix(k, t.reshape(2**k, 2**k), check_psd=False)
+    return _built(DensityMatrix, len(keep), partial_trace_tensor(sigma.tensor(), sigma.n_qubits, keep))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +169,7 @@ def check_info_decay(circuit: NoisyCircuit) -> dict:
         if op is not None:
             continue
         t += 1
-        info = information(DensityMatrix(n, rho.reshape(2**n, 2**n), check_psd=False)).value
+        info = information(_built(DensityMatrix, n, rho)).value
         bound = (1.0 - lam) ** t * n
         layers.append(
             {"t": t, "information": info, "bound": bound, "holds": info <= bound + CHECK_TOL}
@@ -270,13 +269,6 @@ def check_projection_bound(
 # ---------------------------------------------------------------------------
 
 
-def _channel_unit(binding, state: DensityMatrix, wires, lam: float) -> np.ndarray:
-    n = state.n_qubits
-    out = binding.apply_density(state.tensor(), wires, n)
-    out = _depolarize_density_tensor(out, n, lam)
-    return out.reshape(2**n, 2**n)
-
-
 def check_hybrid_bound(
     e0,
     e1,
@@ -305,26 +297,27 @@ def check_hybrid_bound(
 
     # one walk per channel, stopped before the final noise op: the state
     # before each oracle call is a probe, the last state is read out
-    probes: list[DensityMatrix] = []
+    probes: list[np.ndarray] = []
     finals = []
     for channel in (e0, e1):
         before = None
         walk = _walk_density(template, {oracle_id: channel})
         for op, rho in itertools.islice(walk, len(template.schedule()) - 1):
             if isinstance(op, OracleCall):
-                probes.append(DensityMatrix(n, before.reshape(2**n, 2**n), check_psd=False))
+                probes.append(before)
             before = rho
         finals.append(_readout(rho, n, lam))
     p0, p1 = finals
     rng = rng_for(seed, 0x4879)
     for _ in range(trials):
         v = haar_unitary(2**n, rng)[:, 0]
-        probes.append(DensityMatrix(n, np.outer(v, v.conj()), check_psd=False))
+        probes.append(np.outer(v, v.conj()).reshape((2,) * (2 * n)))
 
     eps = 0.0
     for probe in probes:
-        diff = _channel_unit(e0, probe, wires, lam) - _channel_unit(e1, probe, wires, lam)
-        eps = max(eps, trace_norm(diff))
+        # the channel, then one noise layer: the unit the hybrid argument swaps
+        a, b = (_depolarize_density_tensor(e.apply_density(probe, wires, n), n, lam) for e in (e0, e1))
+        eps = max(eps, trace_norm_diff(_built(DensityMatrix, n, a), _built(DensityMatrix, n, b)))
     tv = tv_distance(p0, p1)
     return make_report(
         "output TV under two oracle channels is within eps * T",

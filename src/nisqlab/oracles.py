@@ -8,7 +8,6 @@ internal bookkeeping never touch the counter.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 
@@ -306,7 +305,7 @@ class GroverOracle:
 
     @property
     def n_wires(self) -> int:
-        return max(1, math.ceil(math.log2(self.n_search)))
+        return max(1, (self.n_search - 1).bit_length())
 
 
 class GroverPhaseBinding(PermutationBinding):

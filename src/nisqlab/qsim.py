@@ -24,11 +24,11 @@ import json
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import extract_field, int_to_bits, spread_field
+from .bits import bits_to_int, extract_field, int_to_bits, spread_field
 from .errors import CapacityError, UsageError
 from .seeding import rng_for
 
@@ -294,28 +294,30 @@ class PureState:
     def zero(cls, n_qubits: int) -> "PureState":
         amps = np.zeros(2**n_qubits, dtype=np.complex128)
         amps[0] = 1.0
-        return cls(n_qubits, amps)
+        return _built(cls, n_qubits, amps)
 
     @classmethod
     def basis(cls, n_qubits: int, bits: str) -> "PureState":
+        if len(bits) != n_qubits or set(bits) - {"0", "1"}:
+            raise UsageError(f"basis label {bits!r} is not a {n_qubits}-bit string")
         amps = np.zeros(2**n_qubits, dtype=np.complex128)
-        amps[int(bits, 2)] = 1.0
+        amps[bits_to_int(bits)] = 1.0
         return cls(n_qubits, amps)
 
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape((2,) * self.n_qubits)
 
     def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return _built(DensityMatrix, self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """n-qubit density operator; positivity checked on construction."""
+    """n-qubit density operator.  The constructor checks shape, Hermiticity,
+    unit trace and positivity; states the library built skip them (`_built`)."""
 
     n_qubits: int
     entries: np.ndarray
-    check_psd: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.entries, dtype=np.complex128)
@@ -328,10 +330,9 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > STATE_ATOL:
             raise UsageError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        if self.check_psd:
-            lo = float(np.linalg.eigvalsh(m).min())
-            if lo < -STATE_ATOL:
-                raise UsageError(f"matrix has eigenvalue {lo:.3e} < -{STATE_ATOL}")
+        lo = float(np.linalg.eigvalsh(m).min())
+        if lo < -STATE_ATOL:
+            raise UsageError(f"matrix has eigenvalue {lo:.3e} < -{STATE_ATOL}")
         object.__setattr__(self, "entries", m)
 
     @classmethod
@@ -339,18 +340,30 @@ class DensityMatrix:
         dim = 2**n_qubits
         m = np.zeros((dim, dim), dtype=np.complex128)
         m[0, 0] = 1.0
-        return cls(n_qubits, m, check_psd=False)
+        return _built(cls, n_qubits, m)
 
     @classmethod
     def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
         dim = 2**n_qubits
-        return cls(n_qubits, np.eye(dim, dtype=np.complex128) / dim, check_psd=False)
+        return _built(cls, n_qubits, np.eye(dim, dtype=np.complex128) / dim)
 
     def tensor(self) -> np.ndarray:
         return self.entries.reshape((2,) * (2 * self.n_qubits))
 
     def outcome_distribution(self) -> "OutcomeDistribution":
         return OutcomeDistribution.from_array(self.n_qubits, np.diag(self.entries).real)
+
+
+def _built(cls, n_qubits: int, tensor: np.ndarray):
+    """The `cls` state (PureState or DensityMatrix) holding `tensor` reshaped,
+    without the constructor's checks: for states the library computed from
+    checked inputs.  The one place that turns a walk tensor into a state."""
+    dim = 2**n_qubits
+    name, shape = ("amplitudes", (dim,)) if cls is PureState else ("entries", (dim, dim))
+    state = object.__new__(cls)
+    object.__setattr__(state, "n_qubits", n_qubits)
+    object.__setattr__(state, name, tensor.reshape(shape))
+    return state
 
 
 @dataclass(frozen=True)
@@ -653,18 +666,16 @@ def apply_gate_layer(state: "PureState | DensityMatrix", lay: GateLayer):
         tensor, order = state.tensor()[None], list(range(n))
         for block in lay._blocks:
             tensor, order = _block_on_batch(tensor, block, order)
-        return PureState(n, tensor[0].transpose(np.argsort(order)).reshape(-1))
+        return _built(PureState, n, tensor[0].transpose(np.argsort(order)))
     if isinstance(state, DensityMatrix):
-        out = _layer_on_density(state.tensor(), lay, n)
-        return DensityMatrix(n, out.reshape(2**n, 2**n), check_psd=False)
+        return _built(DensityMatrix, n, _layer_on_density(state.tensor(), lay, n))
     raise UsageError(f"unsupported state type {type(state).__name__}")
 
 
 def depolarize_all(rho: DensityMatrix, lam: "NoiseRate | float") -> DensityMatrix:
     """Apply D_lam independently to every qubit."""
     lam = _as_noise_rate(lam).value
-    out = _depolarize_density_tensor(rho.tensor(), rho.n_qubits, lam)
-    return DensityMatrix(rho.n_qubits, out.reshape(2**rho.n_qubits, 2**rho.n_qubits), check_psd=False)
+    return _built(DensityMatrix, rho.n_qubits, _depolarize_density_tensor(rho.tensor(), rho.n_qubits, lam))
 
 
 def _walk_density(circuit: NoisyCircuit, oracle_bindings=None):
@@ -674,8 +685,7 @@ def _walk_density(circuit: NoisyCircuit, oracle_bindings=None):
     if n > DENSITY_QUBIT_CAP:
         raise CapacityError(f"density backend supports n <= {DENSITY_QUBIT_CAP}, got {n}")
     lam = circuit.noise.value
-    rho = np.zeros((2,) * (2 * n), dtype=np.complex128)
-    rho[(0,) * (2 * n)] = 1.0
+    rho = DensityMatrix.zero(n).tensor()
     scale = _depolarize_scale(n, lam) if lam > 0.0 else None  # one table a walk
     for op in circuit.schedule():
         if op is None:
@@ -689,10 +699,9 @@ def _walk_density(circuit: NoisyCircuit, oracle_bindings=None):
 
 def evolve_density(circuit: NoisyCircuit, oracle_bindings=None) -> DensityMatrix:
     """Exact final pre-measurement state (all noise layers applied)."""
-    n = circuit.n_qubits
     for _, rho in _walk_density(circuit, oracle_bindings):
         pass
-    return DensityMatrix(n, rho.reshape(2**n, 2**n), check_psd=False)
+    return _built(DensityMatrix, circuit.n_qubits, rho)
 
 
 def exact_output_distribution(circuit: NoisyCircuit, oracle_bindings=None) -> OutcomeDistribution:
@@ -722,7 +731,7 @@ def evolve_statevector(circuit: NoisyCircuit, oracle_bindings=None) -> PureState
     ((_, prod, tensor, order),) = _walk_rows(circuit.schedule(), oracle_bindings, n, 0.0, np.empty((1, 0)))
     if tensor is None:
         tensor = _densify(prod)
-    return PureState(n, tensor[0].transpose(np.argsort(order)).reshape(-1))
+    return _built(PureState, n, tensor[0].transpose(np.argsort(order)))
 
 
 def circuit_fingerprint(circuit: NoisyCircuit) -> int:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nisqlab import qsim
+from nisqlab import algorithms, metrics, qsim
 from nisqlab.errors import CapacityError, UsageError
 from nisqlab.oracles import (
     ClassicalOracle,
@@ -115,6 +115,41 @@ class TestTypes:
             DensityMatrix(1, np.diag([0.7, 0.7]))
         with pytest.raises(UsageError):
             DensityMatrix(1, np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize("bits", ["111", "2x", "", "1"])
+    def test_basis_label_must_be_n_bits(self, bits):
+        with pytest.raises(UsageError):
+            PureState.basis(2, bits)
+
+    def test_library_built_states_skip_the_checks(self, monkeypatch):
+        """Only the public constructors check a state: each op below builds
+        its result from checked inputs and so never reaches __post_init__."""
+
+        def refuse(state):
+            raise AssertionError(f"a library-built {type(state).__name__} was checked again")
+
+        monkeypatch.setattr(PureState, "__post_init__", refuse)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", refuse)
+        lay = layer(H(0), CNOT(1, 2))
+        bindings = [make_grover_phase(GroverOracle(4, marked)) for marked in (0, 1)]
+        steps = (lay, OracleCall("E", (0, 1)), layer(H(2)))
+        noisy, noiseless = NoisyCircuit(3, steps, 0.1), NoisyCircuit(3, steps, 0.0)
+        rho = depolarize_all(PureState.zero(3).to_density(), 0.1)
+        states = [
+            DensityMatrix.zero(3),
+            DensityMatrix.maximally_mixed(3),
+            apply_gate_layer(PureState.zero(3), lay).to_density(),
+            apply_gate_layer(rho, lay),
+            qsim.evolve_density(noisy, {"E": bindings[1]}),
+            qsim.evolve_statevector(noiseless, {"E": bindings[1]}).to_density(),
+            metrics.reduced_state(rho, [0, 2]),
+        ]
+        for state in states:
+            assert np.trace(state.entries) == pytest.approx(1.0)
+        metrics.check_info_decay(NoisyCircuit(3, (lay,), 0.1))
+        algorithms.shadow_distinguish("XZ", 0.1, 2)
+        assert metrics.check_hybrid_bound(bindings[0], bindings[1], noisy, trials=2)["holds"]
+        exact_output_distribution(noisy, {"E": bindings[1]})
 
     def test_outcome_distribution_checks(self):
         with pytest.raises(UsageError):
