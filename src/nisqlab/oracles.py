@@ -152,7 +152,7 @@ class PermutationBinding(OracleBinding):
     def apply_density(self, tensor: np.ndarray, wires, n_qubits: int) -> np.ndarray:
         perm, neg = self._lifted(tuple(wires), n_qubits)
         self.oracle.query_counter.increment()
-        rho = tensor.reshape(2**n_qubits, 2**n_qubits)[perm][:, perm]
+        rho = tensor.reshape(2**n_qubits, 2**n_qubits)[np.ix_(perm, perm)]
         if neg is not None:
             rho[neg, :] *= -1.0
             rho[:, neg] *= -1.0

@@ -102,6 +102,16 @@ class TestLiftToUnitary:
         dm = binding.apply_density(psi.to_density().tensor(), (2, 0, 1), 3).reshape(8, 8)
         np.testing.assert_allclose(dm, np.outer(sv, sv.conj()), atol=1e-12)
 
+    @pytest.mark.parametrize("binding", [make_grover_phase(GroverOracle(8, 5)), lift_to_unitary(make_bv("101"))])
+    def test_density_is_the_signed_permutation_conjugation(self, binding, rng):
+        # entry for entry U rho U^dagger, signed rows and columns included
+        n, wires = 5, (3, 0, 4, 1)[: binding.n_wires]
+        basis = np.eye(2**n, dtype=complex).reshape((2**n,) + (2,) * n)
+        u = binding.apply_statevector(basis, wires, n).reshape(2**n, 2**n).T
+        rho = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        got = binding.apply_density(rho.reshape((2,) * (2 * n)), wires, n).reshape(2**n, 2**n)
+        np.testing.assert_array_equal(got, u @ rho @ u.conj().T)
+
     def test_wire_count_mismatch(self):
         binding = lift_to_unitary(make_bv("10"))
         circ = NoisyCircuit(3, (OracleCall("f", (0, 1)),), 0.0)
