@@ -22,10 +22,11 @@ from .qsim import (
     OutcomeDistribution,
     PureState,
     _as_noise_rate,
-    _bit_flip_noise,
     _built,
     _depolarize_density_tensor,
+    _from_pauli,
     _readout,
+    _to_pauli,
     _walk_density,
     haar_unitary,
     partial_trace_tensor,
@@ -169,7 +170,7 @@ def check_info_decay(circuit: NoisyCircuit) -> dict:
         if op is not None:
             continue
         t += 1
-        info = information(_built(DensityMatrix, n, rho)).value
+        info = information(_built(DensityMatrix, n, _from_pauli(rho, n))).value
         bound = (1.0 - lam) ** t * n
         layers.append(
             {"t": t, "information": info, "bound": bound, "holds": info <= bound + CHECK_TOL}
@@ -249,8 +250,8 @@ def check_projection_bound(
     for w in words:
         if not (0 <= w < 2**n):
             raise UsageError(f"outcome {w} outside n = {n} bit range")
-    diag = _bit_flip_noise(np.abs(psi.amplitudes) ** 2, n, lam)
-    lhs = float(diag[words].sum()) if words else 0.0
+    probs = _readout(_to_pauli(psi.to_density().entries, n).real, n, lam).as_array()
+    lhs = float(probs[words].sum()) if words else 0.0
     rhs = float(flip_hit_probabilities(n, words, lam).max()) if words else 0.0
     return make_report(
         "projection weight after one noise layer is classically attainable",
@@ -304,7 +305,7 @@ def check_hybrid_bound(
         walk = _walk_density(template, {oracle_id: channel})
         for op, rho in itertools.islice(walk, len(template.schedule()) - 1):
             if isinstance(op, OracleCall):
-                probes.append(before)
+                probes.append(_from_pauli(before, n))
             before = rho
         finals.append(_readout(rho, n, lam))
     p0, p1 = finals

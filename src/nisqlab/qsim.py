@@ -49,6 +49,9 @@ _TILE_AMPLITUDES = 2**16
 _CHUNK_STREAM_TAG = 0x6368756E
 # widest fused gate block, in qubits: fastest of 3..6 on `sampling` (BENCH_gate_fusion.json)
 _FUSE_QUBITS = 5
+# widest fused Pauli transfer block, in qubits: a k-qubit block costs 16^k flops
+# per coefficient; fastest of 2..4 on `density` (BENCH_pauli_basis.json)
+_TRANSFER_QUBITS = 2
 
 _I2 = np.eye(2, dtype=np.complex128)
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -71,6 +74,9 @@ _NAMED_GATES = {
 }
 
 PAULI_MATRICES = {"I": _I2, "X": _PAULI_X, "Y": _PAULI_Y, "Z": _PAULI_Z}
+# the 1- and 2-qubit Pauli strings in the density walk's index order, I X Y Z per qubit
+_PAULIS = np.array(list(PAULI_MATRICES.values()))
+_PAULI_STRINGS = {1: _PAULIS, 2: np.array([np.kron(a, b) for a in _PAULIS for b in _PAULIS])}
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +177,32 @@ class GateLayer:
 
     @functools.cached_property
     def _blocks(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
-        """The gates grouped greedily, in order, into blocks of at most _FUSE_QUBITS
-        qubits: (the gates' targets in turn, the Kronecker product of their matrices)."""
-        blocks: list[tuple[tuple[int, ...], np.ndarray]] = []
-        for g in self.gates:
-            if not blocks or len(blocks[-1][0]) + len(g.targets) > _FUSE_QUBITS:
-                blocks.append(((), np.ones((1, 1), dtype=np.complex128)))
-            targets, m = blocks[-1]
-            blocks[-1] = (targets + g.targets, np.kron(m, g.matrix))
-        return tuple(blocks)
+        """The gate matrices in blocks of at most _FUSE_QUBITS qubits (`_fuse`)."""
+        return _fuse([(g.targets, g.matrix) for g in self.gates], _FUSE_QUBITS)
+
+    @functools.cached_property
+    def _transfer_blocks(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+        """The gates' Pauli transfer matrices (`_transfer`) in blocks of at most
+        _TRANSFER_QUBITS qubits: the layer as the density walk applies it."""
+        return _fuse([(g.targets, _transfer(g.matrix)) for g in self.gates], _TRANSFER_QUBITS)
+
+
+def _fuse(blocks: list, width: int) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+    """(targets, matrix) pairs grouped greedily, in order, into blocks of at most
+    `width` qubits: (their targets in turn, the Kronecker product of their matrices)."""
+    fused: list[tuple[tuple[int, ...], np.ndarray]] = []
+    for targets, m in blocks:
+        if not fused or len(fused[-1][0]) + len(targets) > width:
+            fused.append(((), np.ones((1, 1))))
+        fused[-1] = (fused[-1][0] + targets, np.kron(fused[-1][1], m))
+    return tuple(fused)
+
+
+def _transfer(u: np.ndarray) -> np.ndarray:
+    """The real Pauli transfer matrix R_ij = 2^-k Tr(P_i u P_j u^dagger) of a
+    k-qubit gate: u rho u^dagger on the Pauli coefficients of rho."""
+    p = _PAULI_STRINGS[len(u).bit_length() - 1]
+    return np.einsum("iab,jba->ij", p, u @ p @ u.conj().T).real / len(u)
 
 
 def layer(*gates: Gate) -> GateLayer:
@@ -463,52 +486,48 @@ def _block_on_batch(tensor: np.ndarray, block: tuple, order: list[int]) -> tuple
     return out, [q for q in order if q not in targets] + list(targets)
 
 
-def _layer_on_density(tensor: np.ndarray, lay: GateLayer, n: int) -> np.ndarray:
-    """rho as a one-row batch whose axis q holds row qubit q and axis n + q its
-    column: each block acts on the rows and its conjugate on the columns.
-    Returns a view in that axis order."""
-    tensor, order = tensor[None], list(range(2 * n))
-    for targets, m in lay._blocks:
-        tensor, order = _block_on_batch(tensor, (targets, m), order)
-        tensor, order = _block_on_batch(tensor, (tuple(t + n for t in targets), m.conj()), order)
+def _layer_on_tensor(tensor: np.ndarray, blocks: tuple) -> np.ndarray:
+    """A layer's blocks on a tensor whose axis q holds qubit q (2 amplitudes or
+    4 Pauli coefficients), with tracked order; returns a view in qubit order."""
+    tensor, order = tensor[None], list(range(tensor.ndim))
+    for block in blocks:
+        tensor, order = _block_on_batch(tensor, block, order)
     return tensor[0].transpose(np.argsort(order))
 
 
-def _depolarize_scale(n: int, lam: float) -> np.ndarray:
-    """The 2^n x 2^n table (1 - lam)^popcount(i xor j); it depends on (n, lam) only."""
-    idx = np.arange(2**n, dtype=np.uint16)
-    return ((1.0 - lam) ** np.arange(n + 1))[np.bitwise_count(idx[:, None] ^ idx)]
-
-
-def _depolarize_density_tensor(tensor: np.ndarray, n: int, lam: float, scale=None) -> np.ndarray:
-    """D_lam on every qubit, into a new tensor (`tensor` is never written).  The
-    per-qubit channels commute: each scales the blocks off-diagonal in its qubit by
-    1 - lam, for all qubits at once a product with `scale`, the
-    `_depolarize_scale(n, lam)` table (built here if None), and mixes its two
-    diagonal blocks by lam / 2, here in place on that product."""
-    if lam == 0.0:
-        return tensor
-    scale = _depolarize_scale(n, lam) if scale is None else scale
-    out = np.multiply(tensor, scale.reshape(tensor.shape), order="C")  # C order: reshapes below are views
+def _on_every_axis(tensor: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The k x k matrix m applied along every axis of a (k,)*n tensor, into a new
+    C-contiguous tensor (after the first product, each reshape is a view)."""
+    k, n = len(m), tensor.ndim
     for q in range(n):
-        v = out.reshape(2**q, 2, 2 ** (n - 1), 2, 2 ** (n - 1 - q))
-        a, b = v[:, 0, :, 0], v[:, 1, :, 1]
-        d = (b - a) * (lam / 2.0)
-        a += d
-        b -= d
-    return out
+        tensor = np.matmul(m, tensor.reshape(k**q, k, -1))
+    return tensor.reshape((k,) * n)
 
 
-def _bit_flip_noise(probs: np.ndarray, n: int, lam: float) -> np.ndarray:
-    """The diagonal of D_lam on every qubit, into a new array: each bit of an
-    outcome of `probs` flips independently with probability lam / 2."""
-    out = np.array(probs, dtype=float, order="C")
-    for q in range(n):
-        v = out.reshape(2**q, 2, -1)
-        d = (v[:, 1] - v[:, 0]) * (lam / 2.0)
-        v[:, 0] += d
-        v[:, 1] -= d
-    return out
+def _to_pauli(rho: np.ndarray, n: int) -> np.ndarray:
+    """The Pauli coefficients c_s = Tr(P_s rho) of a density matrix or (2,)*2n
+    tensor, so rho = 2^-n sum_s c_s P_s: a new (4,)*n tensor whose axis q indexes
+    I, X, Y, Z on qubit q, real up to rounding when rho is Hermitian."""
+    pairs = itertools.chain(*zip(range(n), range(n, 2 * n)))  # row and column bit of each qubit
+    paired = rho.reshape((2,) * (2 * n)).transpose(*pairs).reshape((4,) * n)
+    return _on_every_axis(paired, _PAULIS.transpose(0, 2, 1).reshape(4, 4))
+
+
+def _from_pauli(c: np.ndarray, n: int) -> np.ndarray:
+    """The (2,)*2n density tensor of Pauli coefficients c: `_to_pauli` inverted."""
+    paired = _on_every_axis(c, _PAULIS.reshape(4, 4).T / 2).reshape((2,) * (2 * n))
+    return paired.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2))
+
+
+def _product_table(v: list[float], n: int) -> np.ndarray:
+    """The (len(v),)*n tensor product of n copies of v."""
+    return functools.reduce(np.multiply.outer, [np.array(v)] * n)
+
+
+def _depolarize_density_tensor(tensor: np.ndarray, n: int, lam: float) -> np.ndarray:
+    """D_lam on every qubit of a (2,)*2n tensor, into a new tensor (`tensor` is
+    never written): it keeps each I coefficient and damps each X, Y, Z by 1 - lam."""
+    return _from_pauli(_to_pauli(tensor, n) * _product_table([1.0] + [1.0 - lam] * 3, n), n)
 
 
 def _pauli_events(lam: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -663,12 +682,10 @@ def apply_gate_layer(state: "PureState | DensityMatrix", lay: GateLayer):
         if not (0 <= t < n):
             raise UsageError(f"gate target {t} outside [0, {n})")
     if isinstance(state, PureState):
-        tensor, order = state.tensor()[None], list(range(n))
-        for block in lay._blocks:
-            tensor, order = _block_on_batch(tensor, block, order)
-        return _built(PureState, n, tensor[0].transpose(np.argsort(order)))
+        return _built(PureState, n, _layer_on_tensor(state.tensor(), lay._blocks))
     if isinstance(state, DensityMatrix):
-        return _built(DensityMatrix, n, _layer_on_density(state.tensor(), lay, n))
+        c = _layer_on_tensor(_to_pauli(state.entries, n), lay._transfer_blocks)
+        return _built(DensityMatrix, n, _from_pauli(c, n))
     raise UsageError(f"unsupported state type {type(state).__name__}")
 
 
@@ -679,43 +696,50 @@ def depolarize_all(rho: DensityMatrix, lam: "NoiseRate | float") -> DensityMatri
 
 
 def _walk_density(circuit: NoisyCircuit, oracle_bindings=None):
-    """Yield (op, density tensor after op) for each op of circuit.schedule();
-    a yielded tensor is never written again, so consumers may keep it."""
+    """Yield (op, Pauli tensor after op) for each op of circuit.schedule(): the
+    state's real coefficients (`_to_pauli`), in qubit order.  A yielded tensor
+    is never written again, so consumers may keep it."""
     n = circuit.n_qubits
     if n > DENSITY_QUBIT_CAP:
         raise CapacityError(f"density backend supports n <= {DENSITY_QUBIT_CAP}, got {n}")
-    lam = circuit.noise.value
-    rho = DensityMatrix.zero(n).tensor()
-    scale = _depolarize_scale(n, lam) if lam > 0.0 else None  # one table a walk
+    # c is a one-row batch whose axis p + 1 holds qubit order[p], C-contiguous
+    # there: the noise table is the same in every qubit order
+    noise = _product_table([1.0] + [1.0 - circuit.noise.value] * 3, n)  # one table a walk
+    c, order = _product_table([1.0, 0.0, 0.0, 1.0], n)[None], list(range(n))  # |0><0| = (I + Z) / 2
     for op in circuit.schedule():
         if op is None:
-            rho = _depolarize_density_tensor(rho, n, lam, scale)
+            c = c * noise
         elif isinstance(op, GateLayer):
-            rho = _layer_on_density(rho, op, n)
-        else:
+            for block in op._transfer_blocks:
+                c, order = _block_on_batch(c, block, order)
+        else:  # bindings act on the matrix
+            rho = _from_pauli(c[0].transpose(np.argsort(order)), n)
             rho = _resolve_binding(oracle_bindings, op).apply_density(rho, op.wires, n)
-        yield op, rho
+            c, order = _to_pauli(rho, n).real[None], list(range(n))
+        yield op, c[0].transpose(np.argsort(order))
 
 
 def evolve_density(circuit: NoisyCircuit, oracle_bindings=None) -> DensityMatrix:
     """Exact final pre-measurement state (all noise layers applied)."""
-    for _, rho in _walk_density(circuit, oracle_bindings):
+    for _, c in _walk_density(circuit, oracle_bindings):
         pass
-    return _built(DensityMatrix, circuit.n_qubits, rho)
+    return _built(DensityMatrix, circuit.n_qubits, _from_pauli(c, circuit.n_qubits))
 
 
 def exact_output_distribution(circuit: NoisyCircuit, oracle_bindings=None) -> OutcomeDistribution:
-    """Exact outcome probabilities via the density-matrix backend.  Readout sees
-    only the diagonal of the final noise layer, so it acts on diag(rho) as bit flips."""
-    for _, rho in itertools.islice(_walk_density(circuit, oracle_bindings), len(circuit.schedule()) - 1):
+    """Exact outcome probabilities via the density-matrix backend, read out
+    before the final noise layer (`_readout` applies it)."""
+    for _, c in itertools.islice(_walk_density(circuit, oracle_bindings), len(circuit.schedule()) - 1):
         pass
-    return _readout(rho, circuit.n_qubits, circuit.noise.value)
+    return _readout(c, circuit.n_qubits, circuit.noise.value)
 
 
-def _readout(rho: np.ndarray, n: int, lam: float) -> OutcomeDistribution:
-    """Outcome law of the density tensor rho after one more noise layer."""
-    diag = np.einsum(rho, [*range(n)] * 2, [*range(n)]).real  # unlike a reshape, never copies rho
-    return OutcomeDistribution.from_array(n, _bit_flip_noise(diag, n, lam).reshape(-1))
+def _readout(c: np.ndarray, n: int, lam: float) -> OutcomeDistribution:
+    """Outcome law of the Pauli tensor c after one more noise layer.  Only its
+    {I, Z} sub-tensor reaches the diagonal: the noise damps each Z by 1 - lam,
+    and p(x) = 2^-n sum_s c_s (-1)^(x.s) is one Walsh-Hadamard step per qubit."""
+    iz = c[(slice(0, None, 3),) * n] * _product_table([1.0, 1.0 - lam], n)
+    return OutcomeDistribution.from_array(n, _on_every_axis(iz, np.array([[0.5, 0.5], [0.5, -0.5]])).reshape(-1))
 
 
 def evolve_statevector(circuit: NoisyCircuit, oracle_bindings=None) -> PureState:

@@ -464,10 +464,10 @@ class TestLeCam:
         one, zero = make_bv("1"), make_bv("0")
         rep = lecam_advantage(FunctionController(step), [(1.0, one)], [(1.0, zero)], 0.0)
         assert (one.query_counter.value, zero.query_counter.value) == (2, 2)
-        assert rep["lhs"] == 0.9999999999999991
+        assert rep["lhs"] == 0.999999999999999
         # the perturbation check still compares both trees at every node
         pert = perturbation_check(FunctionController(step), make_bv("1"), make_bv("0"), 0.0)
-        assert (pert["lhs"], pert["rhs"]) == (0.9999999999999991, 1.9999999999999984)
+        assert (pert["lhs"], pert["rhs"]) == (0.999999999999999, 1.9999999999999982)
         assert (pert["details"]["depth"], pert["details"]["leaves"]) == (2, 3)
 
     def test_family_validation(self):

@@ -309,6 +309,26 @@ def assert_readout_paths_agree(circ: NoisyCircuit, bindings=None) -> None:
     np.testing.assert_allclose(diagonal, full, rtol=0, atol=1e-12)
 
 
+class TestPauliBasis:
+    def test_transfer_block_of_a_haar_gate_is_real_orthogonal_and_unital(self, rng):
+        ((targets, r),) = layer(Gate(qsim.haar_unitary(4, rng), (2, 0)))._transfer_blocks
+        assert targets == (2, 0) and r.dtype == np.float64
+        np.testing.assert_allclose(r @ r.T, np.eye(16), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(r[:, 0], np.eye(16)[0], rtol=0, atol=1e-15)  # I (x) I -> I (x) I
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_converters_invert_each_other(self, n, rng):
+        a = random_amplitudes(rng, 2**n, 2**n)
+        for m in (a, a @ a.conj().T / np.trace(a @ a.conj().T).real):
+            back = qsim._from_pauli(qsim._to_pauli(m, n), n).reshape(2**n, 2**n)
+            np.testing.assert_allclose(back, m, rtol=0, atol=1e-15 * np.abs(m).max())
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_readout_of_the_zero_state_is_a_point_mass(self, n):
+        zero = qsim._product_table([1.0, 0.0, 0.0, 1.0], n)
+        assert qsim._readout(zero, n, 0.0).probabilities == {"0" * n: 1.0}
+
+
 class TestExactDistribution:
     def test_noiseless_empty_circuit(self):
         dist = exact_output_distribution(NoisyCircuit(3, (), 0.0))
