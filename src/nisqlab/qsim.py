@@ -497,10 +497,11 @@ def _layer_on_tensor(tensor: np.ndarray, blocks: tuple) -> np.ndarray:
 
 def _on_every_axis(tensor: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The k x k matrix m applied along every axis of a (k,)*n tensor, into a new
-    C-contiguous tensor (after the first product, each reshape is a view)."""
+    C-contiguous tensor.  Each product acts on the last axis and moves it to the
+    front, reading its operand transposed in place, so n products restore the order."""
     k, n = len(m), tensor.ndim
-    for q in range(n):
-        tensor = np.matmul(m, tensor.reshape(k**q, k, -1))
+    for _ in range(n):
+        tensor = m @ tensor.reshape(-1, k).T
     return tensor.reshape((k,) * n)
 
 
