@@ -192,9 +192,10 @@ def _fuse(blocks: list, width: int) -> tuple[tuple[tuple[int, ...], np.ndarray],
     `width` qubits: (their targets in turn, the Kronecker product of their matrices)."""
     fused: list[tuple[tuple[int, ...], np.ndarray]] = []
     for targets, m in blocks:
-        if not fused or len(fused[-1][0]) + len(targets) > width:
-            fused.append(((), np.ones((1, 1))))
-        fused[-1] = (fused[-1][0] + targets, np.kron(fused[-1][1], m))
+        if fused and len(fused[-1][0]) + len(targets) <= width:
+            fused[-1] = (fused[-1][0] + targets, np.kron(fused[-1][1], m))
+        else:
+            fused.append((targets, m))
     return tuple(fused)
 
 
