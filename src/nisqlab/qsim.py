@@ -49,8 +49,9 @@ _TILE_AMPLITUDES = 2**16
 _CHUNK_STREAM_TAG = 0x6368756E
 # widest fused gate block, in qubits: fastest of 3..6 on `sampling` (BENCH_gate_fusion.json)
 _FUSE_QUBITS = 5
-# widest fused Pauli transfer block, in qubits: a k-qubit block costs 16^k flops
-# per coefficient; fastest of 2..4 on `density` (BENCH_pauli_basis.json)
+# widest fused Pauli transfer block, in qubits: a k-qubit block costs 16^k products
+# per coefficient.  On `density` 3 ties with 2 at 16x the cached bytes and 4 is 1.4x
+# slower; 1 (no fusion) is 6-12% slower on the `checks` ops (BENCH_pauli_basis.json)
 _TRANSFER_QUBITS = 2
 
 _I2 = np.eye(2, dtype=np.complex128)
@@ -704,8 +705,8 @@ def _walk_density(circuit: NoisyCircuit, oracle_bindings=None):
     n = circuit.n_qubits
     if n > DENSITY_QUBIT_CAP:
         raise CapacityError(f"density backend supports n <= {DENSITY_QUBIT_CAP}, got {n}")
-    # c is a one-row batch whose axis p + 1 holds qubit order[p], C-contiguous
-    # there: the noise table is the same in every qubit order
+    # c is a one-row batch whose axis p + 1 holds qubit order[p]; the noise
+    # table is the same in every qubit order, so noise needs no transpose
     noise = _product_table([1.0] + [1.0 - circuit.noise.value] * 3, n)  # one table a walk
     c, order = _product_table([1.0, 0.0, 0.0, 1.0], n)[None], list(range(n))  # |0><0| = (I + Z) / 2
     for op in circuit.schedule():

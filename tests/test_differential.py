@@ -29,7 +29,7 @@ TWO_QUBIT = ("haar2", "CNOT", "CZ")
 
 
 def _gate(kind: str, targets: tuple[int, ...], rng: np.random.Generator) -> qsim.Gate:
-    if kind == "haar1" or kind == "haar2":
+    if kind.startswith("haar"):
         return qsim.Gate(qsim.haar_unitary(2 ** len(targets), rng), targets)
     if kind == "phase":
         return qsim.phase(targets[0], float(rng.uniform(0, 2 * np.pi)))
