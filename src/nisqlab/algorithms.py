@@ -40,6 +40,7 @@ from .qsim import (
     X,
     _as_noise_rate,
     _built,
+    _counts,
     depolarize_all,
     evolve_statevector,
     exact_output_distribution,
@@ -136,11 +137,7 @@ def _fast_bv_counts(s_bits: np.ndarray, lam: float, runs: int, rng) -> dict[str,
     bits = (s_bool[None, :] ^ flips ^ (a[:, None] & s_bool[None, :])).astype(np.uint8)
     anc = (~a ^ (rng.random(runs) < p_anc_extra)).astype(np.uint8)
     words = np.concatenate([bits, anc[:, None]], axis=1)
-    ints = words @ (1 << np.arange(n, -1, -1, dtype=np.int64))
-    counts: dict[str, int] = {}
-    for v, c in zip(*np.unique(ints, return_counts=True)):
-        counts[int_to_bits(int(v), n + 1)] = int(c)
-    return counts
+    return _counts(words @ (1 << np.arange(n, -1, -1, dtype=np.int64)), n + 1)
 
 
 def bv_outcome_counts(

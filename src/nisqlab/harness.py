@@ -22,7 +22,7 @@ import numpy as np
 
 from .algorithms import bv_circuit, bv_repetitions, majority_vote
 from .errors import CapacityError, UsageError
-from .metrics import dict_tv
+from .metrics import dict_tv, tv_distance
 from .oracles import ClassicalOracle, OracleBinding, lift_to_unitary
 from .qsim import (
     NoisyCircuit,
@@ -476,8 +476,8 @@ def perturbation_check(controller: Controller, oracle, substitute, noise) -> dic
 
     def node_tv(circuit, dists) -> float:
         # both trees' child distributions, also where one tree never runs the node
-        d0, d1 = (exact_output_distribution(circuit, v[0]) if d is None else d for d, v in zip(dists, views))
-        return 0.5 * sum(abs(d0.get(o) - d1.get(o)) for o in _support((d0, d1)))
+        both = (exact_output_distribution(circuit, v[0]) if d is None else d for d, v in zip(dists, views))
+        return tv_distance(*both)
 
     epsilon = max((node_tv(*node) for node in nodes.values()), default=0.0)
     depth = max((t.circuit_depth for t in leaves), default=0)

@@ -24,10 +24,8 @@ from .qsim import (
     _as_noise_rate,
     _built,
     _depolarize_density_tensor,
-    _from_pauli,
-    _readout,
-    _to_pauli,
-    _walk_density,
+    _noise_layer_states,
+    depolarize_all,
     haar_unitary,
     partial_trace_tensor,
 )
@@ -165,12 +163,8 @@ def check_info_decay(circuit: NoisyCircuit) -> dict:
     n = circuit.n_qubits
     lam = circuit.noise.value
     layers = []
-    t = 0
-    for op, rho in _walk_density(circuit):
-        if op is not None:
-            continue
-        t += 1
-        info = information(_built(DensityMatrix, n, _from_pauli(rho, n))).value
+    for t, (rho, _) in enumerate(_noise_layer_states(circuit), 1):
+        info = information(rho).value
         bound = (1.0 - lam) ** t * n
         layers.append(
             {"t": t, "information": info, "bound": bound, "holds": info <= bound + CHECK_TOL}
@@ -250,7 +244,7 @@ def check_projection_bound(
     for w in words:
         if not (0 <= w < 2**n):
             raise UsageError(f"outcome {w} outside n = {n} bit range")
-    probs = _readout(_to_pauli(psi.to_density().entries, n).real, n, lam).as_array()
+    probs = depolarize_all(psi.to_density(), lam).outcome_distribution().as_array()
     lhs = float(probs[words].sum()) if words else 0.0
     rhs = float(flip_hit_probabilities(n, words, lam).max()) if words else 0.0
     return make_report(
@@ -296,18 +290,15 @@ def check_hybrid_bound(
     t_calls = len(calls)
     lam = template.noise.value
 
-    # one walk per channel, stopped before the final noise op: the state
-    # before each oracle call is a probe, the last state is read out
+    # one walk per channel: the state before each oracle call is a probe
+    # (a noise layer precedes every op), the last state is read out
     probes: list[np.ndarray] = []
     finals = []
     for channel in (e0, e1):
-        before = None
-        walk = _walk_density(template, {oracle_id: channel})
-        for op, rho in itertools.islice(walk, len(template.schedule()) - 1):
-            if isinstance(op, OracleCall):
-                probes.append(_from_pauli(before, n))
-            before = rho
-        finals.append(_readout(rho, n, lam))
+        for rho, nxt in _noise_layer_states(template, {oracle_id: channel}):
+            if isinstance(nxt, OracleCall):
+                probes.append(rho.tensor())
+        finals.append(rho.outcome_distribution())
     p0, p1 = finals
     rng = rng_for(seed, 0x4879)
     for _ in range(trials):

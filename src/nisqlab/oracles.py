@@ -336,7 +336,8 @@ class StateOracle:
     """Prepares rho = (I + coeff * P) / 2^n in the state register.
 
     coeff = 0 (or pauli None) is the maximally mixed state; coeff = 1 adds
-    one Pauli-string correlation P.  Both are PSD with trace 1.
+    one Pauli-string correlation P other than the identity.  Both are PSD
+    with trace 1.
     """
 
     n: int
@@ -352,6 +353,8 @@ class StateOracle:
         if self.pauli is not None:
             if len(self.pauli) != self.n or set(self.pauli) - set("IXYZ"):
                 raise UsageError(f"pauli must be an {self.n}-letter IXYZ string")
+            if self.coeff and set(self.pauli) == {"I"}:
+                raise UsageError("coeff 1 with the identity string gives trace 2, not a state")
 
     def density(self) -> np.ndarray:
         dim = 2**self.n

@@ -729,20 +729,30 @@ def evolve_density(circuit: NoisyCircuit, oracle_bindings=None) -> DensityMatrix
     return _built(DensityMatrix, circuit.n_qubits, _from_pauli(c, circuit.n_qubits))
 
 
+def _noise_layer_states(circuit: NoisyCircuit, oracle_bindings=None):
+    """Yield (state, next op) after each noise layer of the walk: the
+    DensityMatrix that layer leaves and the schedule op after it (None after
+    the last layer)."""
+    n = circuit.n_qubits
+    after = circuit.schedule()[1:] + (None,)
+    for (op, c), nxt in zip(_walk_density(circuit, oracle_bindings), after):
+        if op is None:
+            yield _built(DensityMatrix, n, _from_pauli(c, n)), nxt
+
+
 def exact_output_distribution(circuit: NoisyCircuit, oracle_bindings=None) -> OutcomeDistribution:
-    """Exact outcome probabilities via the density-matrix backend, read out
-    before the final noise layer (`_readout` applies it)."""
-    for _, c in itertools.islice(_walk_density(circuit, oracle_bindings), len(circuit.schedule()) - 1):
+    """Exact outcome probabilities via the density-matrix backend."""
+    for _, c in _walk_density(circuit, oracle_bindings):
         pass
-    return _readout(c, circuit.n_qubits, circuit.noise.value)
+    return _readout(c, circuit.n_qubits)
 
 
-def _readout(c: np.ndarray, n: int, lam: float) -> OutcomeDistribution:
-    """Outcome law of the Pauli tensor c after one more noise layer.  Only its
-    {I, Z} sub-tensor reaches the diagonal: the noise damps each Z by 1 - lam,
-    and p(x) = 2^-n sum_s c_s (-1)^(x.s) is one Walsh-Hadamard step per qubit."""
-    iz = c[(slice(0, None, 3),) * n] * _product_table([1.0, 1.0 - lam], n)
-    return OutcomeDistribution.from_array(n, _on_every_axis(iz, np.array([[0.5, 0.5], [0.5, -0.5]])).reshape(-1))
+def _readout(c: np.ndarray, n: int) -> OutcomeDistribution:
+    """Outcome law of the Pauli tensor c.  Only its {I, Z} sub-tensor reaches
+    the diagonal, and p(x) = 2^-n sum_s c_s (-1)^(x.s) is one Walsh-Hadamard
+    step per qubit."""
+    p = _on_every_axis(c[(slice(0, None, 3),) * n], np.array([[0.5, 0.5], [0.5, -0.5]]))
+    return OutcomeDistribution.from_array(n, p.reshape(-1))
 
 
 def evolve_statevector(circuit: NoisyCircuit, oracle_bindings=None) -> PureState:
@@ -905,11 +915,13 @@ def sample_outcomes(
             parts = list(pool.map(run, range(len(sizes))))
     else:
         parts = [run(ci) for ci in range(len(sizes))]
-    counts: dict[str, int] = {}
-    values, reps = np.unique(np.concatenate(parts), return_counts=True)
-    for v, r in zip(values, reps):
-        counts[int_to_bits(int(v), n)] = int(r)
-    return counts
+    return _counts(np.concatenate(parts), n)
+
+
+def _counts(outcomes: np.ndarray, n: int) -> dict[str, int]:
+    """Counts of integer outcomes as n-bit strings, in increasing outcome order."""
+    values, reps = np.unique(outcomes, return_counts=True)
+    return {int_to_bits(int(v), n): int(r) for v, r in zip(values, reps)}
 
 
 def sample_stream(circuit: NoisyCircuit, oracle_bindings=None, seed: int = 0):

@@ -99,6 +99,11 @@ def run_checks(only: str | None = None) -> dict:
     }
 
 
+def _within(claim: str, gap: float, tol: float, **details) -> dict:
+    """The report of a check that holds when gap <= tol."""
+    return make_report(claim, gap, tol, gap <= tol, tol, **details)
+
+
 def _random_density(n: int, rng: np.random.Generator) -> DensityMatrix:
     dim = 2**n
     eigs = rng.dirichlet(np.ones(dim))
@@ -127,13 +132,7 @@ def _check_depolarizing_action() -> dict:
         got2 = qsim.depolarize_all(prod, lam).entries
         d1 = lambda m: (1.0 - lam) * m + lam * np.eye(2) / 2.0
         worst = max(worst, float(np.abs(got2 - np.kron(d1(a.entries), d1(b.entries))).max()))
-    return make_report(
-        "depolarizing channel acts as (1 - lam) rho + lam I/2 on each qubit",
-        worst,
-        1e-12,
-        worst <= 1e-12,
-        1e-12,
-    )
+    return _within("depolarizing channel acts as (1 - lam) rho + lam I/2 on each qubit", worst, 1e-12)
 
 
 @_check("qsim", "noise-layer-count")
@@ -145,13 +144,7 @@ def _check_noise_layer_count() -> dict:
         dist = qsim.exact_output_distribution(NoisyCircuit(1, steps, lam))
         want = (1.0 - (1.0 - lam) ** layers) / 2.0
         worst = max(worst, abs(dist.get("1") - want))
-    return make_report(
-        "noise layer count is T + 1, and 2 for an empty circuit",
-        worst,
-        1e-12,
-        worst <= 1e-12,
-        1e-12,
-    )
+    return _within("noise layer count is T + 1, and 2 for an empty circuit", worst, 1e-12)
 
 
 @_check("qsim", "noiseless-reduction")
@@ -161,13 +154,7 @@ def _check_noiseless_reduction() -> dict:
     exact = qsim.exact_output_distribution(circ).as_array()
     amps = qsim.evolve_statevector(circ).amplitudes
     gap = float(np.abs(exact - np.abs(amps) ** 2).max())
-    return make_report(
-        "noiseless exact distribution equals |<s|U|0>|^2",
-        gap,
-        1e-9,
-        gap <= 1e-9,
-        1e-9,
-    )
+    return _within("noiseless exact distribution equals |<s|U|0>|^2", gap, 1e-9)
 
 
 @_check("qsim", "backend-equivalence")
@@ -180,14 +167,7 @@ def _check_backend_equivalence() -> dict:
     sampled = OutcomeDistribution.from_counts(3, counts)
     tv = metrics.tv_distance(exact, sampled)
     bound = 3.0 * math.sqrt(2**3 / shots)
-    return make_report(
-        "trajectory and exact backends agree within sampling error",
-        tv,
-        bound,
-        tv <= bound,
-        bound,
-        shots=shots,
-    )
+    return _within("trajectory and exact backends agree within sampling error", tv, bound, shots=shots)
 
 
 @_check("qsim", "sampling-determinism")
@@ -203,13 +183,7 @@ def _check_sampling_determinism() -> dict:
         prefix[w] = prefix.get(w, 0) + 1
     head = qsim.sample_outcomes(circ, seed=5, shots=25)
     ok = a == b and prefix == head
-    return make_report(
-        "identical seeds reproduce samples and stream prefixes match batches",
-        0.0 if ok else 1.0,
-        0.0,
-        ok,
-        0.0,
-    )
+    return _within("identical seeds reproduce samples and stream prefixes match batches", float(not ok), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +203,7 @@ def _check_metric_axioms() -> dict:
         worst = max(
             worst, dab - metrics.trace_distance(a, c) - metrics.trace_distance(c, b)
         )
-    return make_report(
-        "trace distance is symmetric, zero on identical states, triangular",
-        worst,
-        1e-9,
-        worst <= 1e-9,
-        1e-9,
-    )
+    return _within("trace distance is symmetric, zero on identical states, triangular", worst, 1e-9)
 
 
 @_check("metrics", "data-processing")
@@ -248,13 +216,7 @@ def _check_data_processing() -> dict:
         pa = OutcomeDistribution.from_array(3, np.diag(a.entries).real)
         pb = OutcomeDistribution.from_array(3, np.diag(b.entries).real)
         worst = max(worst, metrics.tv_distance(pa, pb) - metrics.trace_distance(a, b))
-    return make_report(
-        "computational-basis TV is bounded by trace distance",
-        worst,
-        1e-9,
-        worst <= 1e-9,
-        1e-9,
-    )
+    return _within("computational-basis TV is bounded by trace distance", worst, 1e-9)
 
 
 @_check("metrics", "kl-information")
@@ -269,13 +231,7 @@ def _check_kl_information() -> dict:
         worst = max(
             worst, metrics.kl_divergence(p, uniform) - metrics.information(rho).value
         )
-    return make_report(
-        "KL to uniform under measurement is at most the information",
-        worst,
-        1e-9,
-        worst <= 1e-9,
-        1e-9,
-    )
+    return _within("KL to uniform under measurement is at most the information", worst, 1e-9)
 
 
 @_check("metrics", "anti-concentration")
@@ -335,13 +291,7 @@ def _check_bv_truth_table() -> dict:
         for x in range(16)
         if oracle.evaluate(x) != bin(x & s).count("1") % 2
     )
-    return make_report(
-        "inner-product oracle matches its truth table",
-        float(bad),
-        0.0,
-        bad == 0,
-        0.0,
-    )
+    return _within("inner-product oracle matches its truth table", bad, 0.0)
 
 
 @_check("oracles", "simon-promise")
@@ -352,13 +302,7 @@ def _check_simon_promise() -> dict:
     collisions_ok = all(table[x] == table[x ^ s] for x in range(8))
     distinct = len({int(table[x]) for x in range(8)}) == 4
     ok = collisions_ok and distinct
-    return make_report(
-        "Simon oracle is constant on s-cosets and distinct across them",
-        0.0 if ok else 1.0,
-        0.0,
-        ok,
-        0.0,
-    )
+    return _within("Simon oracle is constant on s-cosets and distinct across them", float(not ok), 0.0)
 
 
 @_check("oracles", "lifted-xor-action")
@@ -385,13 +329,7 @@ def _check_lifted_xor_action() -> dict:
             bad += idx != (x << 2 | (a ^ int(table[x])))
             seen.add(idx)
     bad += len(seen) != 16
-    return make_report(
-        "lifted XOR oracle is the expected basis permutation",
-        float(bad),
-        0.0,
-        bad == 0,
-        0.0,
-    )
+    return _within("lifted XOR oracle is the expected basis permutation", bad, 0.0)
 
 
 @_check("oracles", "query-counter")
@@ -421,13 +359,7 @@ def _check_grover_phase_action() -> dict:
     circ = NoisyCircuit(2, [layer(H(0), H(1)), OracleCall("G", (0, 1))], 0.0)
     amps = qsim.evolve_statevector(circ, {"G": binding}).amplitudes
     gap = float(np.abs(amps - np.array([0.5, 0.5, 0.5, -0.5])).max())
-    return make_report(
-        "phase oracle negates the marked basis amplitude only",
-        gap,
-        1e-12,
-        gap <= 1e-12,
-        1e-12,
-    )
+    return _within("phase oracle negates the marked basis amplitude only", gap, 1e-12)
 
 
 @_check("oracles", "lifted-simon-damping")
@@ -469,13 +401,7 @@ def _check_code_partition() -> dict:
         b = codes.membership_B(word, spec)
         if not b.is_bottom:
             bad += a.is_bottom or a.bit != b.bit
-    return make_report(
-        "code membership partitions the cube symmetrically",
-        float(bad),
-        0.0,
-        bad == 0,
-        0.0,
-    )
+    return _within("code membership partitions the cube symmetrically", bad, 0.0)
 
 
 @_check("codes", "sparse-stability")
@@ -499,14 +425,7 @@ def _check_sparse_stability() -> dict:
         bad += codes.robust_simon_eval(noisy, spec, simon) != codes.robust_simon_eval(
             clean, spec, simon
         )
-    return make_report(
-        "robust evaluation is invariant under sparse flips",
-        float(bad),
-        0.0,
-        bad == 0,
-        0.0,
-        trials=200,
-    )
+    return _within("robust evaluation is invariant under sparse flips", bad, 0.0, trials=200)
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +445,7 @@ def _check_bv_repetitions() -> dict:
         for n in (8, 16, 32)
     ]
     bad += abs((ms[2] - ms[1]) - (ms[1] - ms[0])) > 1
-    return make_report(
-        "repetition counts match references and grow logarithmically",
-        float(bad),
-        0.0,
-        bad == 0,
-        0.0,
-        counts=ms,
-    )
+    return _within("repetition counts match references and grow logarithmically", bad, 0.0, counts=ms)
 
 
 @_check("algorithms", "bv-recovery")
@@ -545,13 +457,7 @@ def _check_bv_recovery() -> dict:
         algorithms.BVRunConfig(8, 0.05, 0.01), oracles.make_bv("10110100"), seed=3
     )
     ok = noiseless == "1011" and noisy == "10110100"
-    return make_report(
-        "majority vote recovers the secret in both noise regimes",
-        0.0 if ok else 1.0,
-        0.0,
-        ok,
-        0.0,
-    )
+    return _within("majority vote recovers the secret in both noise regimes", float(not ok), 0.0)
 
 
 @_check("algorithms", "grover-closed-form")
@@ -587,13 +493,7 @@ def _check_shadow_decay() -> dict:
     d3 = algorithms.shadow_distinguish("ZZZ", lam, 1).trace_distance_per_query
     d4 = algorithms.shadow_distinguish("ZZZZ", lam, 1).trace_distance_per_query
     worst = max(worst, abs(d4 - d1 * d3))
-    return make_report(
-        "per-query trace distance is (1 - lam)^weight, multiplicative",
-        worst,
-        1e-9,
-        worst <= 1e-9,
-        1e-9,
-    )
+    return _within("per-query trace distance is (1 - lam)^weight, multiplicative", worst, 1e-9)
 
 
 @_check("algorithms", "zalka-sum")
@@ -696,12 +596,5 @@ def _check_bv_equivalence() -> dict:
     res = harness.run_controller(harness.BVMajorityController(cfg), oracle, cfg.noise, seed=11)
     direct = algorithms.run_noisy_bv(cfg, oracle, seed=11)
     ok = res.answer == direct == "101101"
-    return make_report(
-        "harness majority answers equal the direct runner's answers",
-        0.0 if ok else 1.0,
-        0.0,
-        ok,
-        0.0,
-        answer=res.answer,
-        queries=res.queries,
-    )
+    claim = "harness majority answers equal the direct runner's answers"
+    return _within(claim, float(not ok), 0.0, answer=res.answer, queries=res.queries)

@@ -313,6 +313,16 @@ class TestStateOracle:
         with pytest.raises(UsageError):
             StateOracle(2, "QQ", 1)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_identity_string_with_coeff_one_is_refused(self, k):
+        # (I + I) / 2^k has trace 2; the walk used to fail only when it read out
+        with pytest.raises(UsageError, match="trace 2"):
+            StateOracle(k, "I" * k, 1)
+        so = StateOracle(k, "I" * k, 0)
+        circ = NoisyCircuit(k, (OracleCall("S", tuple(range(k))),), 0.0)
+        dist = exact_output_distribution(circ, {"S": StateOracleBinding(so)})
+        assert dist.get("0" * k) == pytest.approx(2.0**-k)
+
 
 class TestHybridPauliDecay:
     """Raw trace norm of D_lam[(O_1 - O_0)(sigma)] equals (1 - lam)^|P|."""

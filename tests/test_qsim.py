@@ -326,7 +326,7 @@ class TestPauliBasis:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_readout_of_the_zero_state_is_a_point_mass(self, n):
         zero = qsim._product_table([1.0, 0.0, 0.0, 1.0], n)
-        assert qsim._readout(zero, n, 0.0).probabilities == {"0" * n: 1.0}
+        assert qsim._readout(zero, n).probabilities == {"0" * n: 1.0}
 
 
 class TestExactDistribution:
@@ -424,6 +424,18 @@ class TestExactDistribution:
             kept = [(rho, rho.copy()) for _, rho in qsim._walk_density(NoisyCircuit(3, steps, lam), bindings)]
             for rho, snapshot in kept:
                 np.testing.assert_array_equal(rho, snapshot)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_noise_layer_states_follow_the_schedule(self, lam, rng):
+        bindings = {"F": lift_to_unitary(make_bv("11")), "S": StateOracleBinding(StateOracle(1, "Y", 1))}
+        steps = (OracleCall("F", (0, 1, 2)), layer(H(0), H(1)), OracleCall("S", (1,)), OracleCall("F", (2, 0, 1)))
+        for tail in ((), qsim.random_circuit(3, 2, 0.0, rng).steps):
+            circ = NoisyCircuit(3, steps + tail, lam)
+            states = list(qsim._noise_layer_states(circ, bindings))
+            assert [nxt for _, nxt in states] == [*circ.steps, None]
+            assert len(states) == circ.noise_layer_count()
+            full = qsim.evolve_density(circ, bindings).entries
+            np.testing.assert_allclose(states[-1][0].entries, full, rtol=0, atol=1e-15)
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):

@@ -141,3 +141,23 @@ def test_every_definition_is_referenced():
             if not any(n == name and not (p == path and line in own) for p, line, n in refs):
                 found.append(f"{path.stem}.{qualname}")
     assert found == []
+
+
+PAULI_BASIS = {
+    "_to_pauli", "_from_pauli", "_readout", "_walk_density", "_on_every_axis", "_product_table", "_transfer_blocks"
+}
+
+
+def test_pauli_basis_stays_in_qsim():
+    # the exact walk's coefficient format is qsim's alone; other modules read DensityMatrix states
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "qsim.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in PAULI_BASIS:
+                found.append(f"{path.name}:{node.lineno}:{name}")
+    assert found == []
