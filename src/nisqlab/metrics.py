@@ -163,8 +163,8 @@ def check_info_decay(circuit: NoisyCircuit) -> dict:
     n = circuit.n_qubits
     lam = circuit.noise.value
     layers = []
-    for t, (rho, _) in enumerate(_noise_layer_states(circuit), 1):
-        info = information(rho).value
+    for t, (state, _) in enumerate(_noise_layer_states(circuit), 1):
+        info = information(state()).value
         bound = (1.0 - lam) ** t * n
         layers.append(
             {"t": t, "information": info, "bound": bound, "holds": info <= bound + CHECK_TOL}
@@ -295,10 +295,10 @@ def check_hybrid_bound(
     probes: list[np.ndarray] = []
     finals = []
     for channel in (e0, e1):
-        for rho, nxt in _noise_layer_states(template, {oracle_id: channel}):
+        for state, nxt in _noise_layer_states(template, {oracle_id: channel}):
             if isinstance(nxt, OracleCall):
-                probes.append(rho.tensor())
-        finals.append(rho.outcome_distribution())
+                probes.append(state().tensor())
+        finals.append(state().outcome_distribution())
     p0, p1 = finals
     rng = rng_for(seed, 0x4879)
     for _ in range(trials):

@@ -46,6 +46,9 @@ _CHUNK_AMPLITUDES = 2**21
 # Of 2^15..2^18, fastest on the `checks` BV runs and near the fastest on
 # `sampling`, with the smallest footprint of those (BENCH_row_tiles.json)
 _TILE_AMPLITUDES = 2**16
+# row block in which a chunk's uniforms become Pauli kinds and its sort keys
+# are packed: a pass over a block stays in cache
+_EVENT_ROWS = 4096
 _CHUNK_STREAM_TAG = 0x6368756E
 # widest fused gate block, in qubits: fastest of 3..6 on `sampling` (BENCH_gate_fusion.json)
 _FUSE_QUBITS = 5
@@ -533,37 +536,33 @@ def _depolarize_density_tensor(tensor: np.ndarray, n: int, lam: float) -> np.nda
     return _from_pauli(_to_pauli(tensor, n) * _product_table([1.0] + [1.0 - lam] * 3, n), n)
 
 
-def _pauli_events(lam: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map uniform draws to (hit, choice): hit w.p. 3 lam / 4, uniform X/Y/Z.
+def _pauli_events(lam: float, u: np.ndarray) -> np.ndarray:
+    """Map uniform draws to Pauli kinds: 0, 1, 2 (X, Y, Z) on a hit, which
+    comes w.p. 3 lam / 4 and picks X/Y/Z uniformly, else 3 (no error).
 
     This mixture reproduces D_lam exactly: (1-lam) rho + lam I/2 equals
     (1-3 lam/4) rho + (lam/4)(X rho X + Y rho Y + Z rho Z).
     """
-    hit = u < 0.75 * lam
     # 4 u / lam, not u / (lam / 4): a quarter of a subnormal rate underflows
     # to 0.  Clamping u at 3 lam / 4 keeps the quotient finite off the hits.
-    choice = np.minimum((4.0 * np.minimum(u, 0.75 * lam) / lam).astype(np.int64), 2)
-    return hit, choice
+    choice = np.minimum((4.0 * np.minimum(u, 0.75 * lam) / lam).astype(np.uint8), 2)
+    return np.where(u < 0.75 * lam, choice, np.uint8(3))
 
 
 _Y_PHASES = np.array([[-1j], [1j]])
 
 
-def _pauli_noise(qubit_view, n: int, lam: float, u: np.ndarray) -> None:
-    """Noise layer on a batch of trajectories (lam > 0).  Mutates in place.
+def _pauli_noise(qubit_view, n: int, kinds: np.ndarray) -> None:
+    """Noise layer on a batch of trajectories.  Mutates in place.
 
     `qubit_view(q)` is a writable (batch, pre, 2, post) view of the batch
-    with qubit q on axis 2.  `u` holds one uniform draw per (trajectory,
-    qubit): values below 3 lam / 4 trigger an error, and the sub-interval
-    picks X, Y or Z uniformly.  Taking pre-drawn randomness keeps each
-    trajectory's stream position independent of the batch size.  Paulis
-    are applied as slice swaps and sign flips on the hit rows only.
+    with qubit q on axis 2; kinds[:, q] holds each trajectory's Pauli kind
+    on qubit q (`_pauli_events`).  Paulis are applied as slice swaps and
+    sign flips on the hit rows only.
     """
-    hit, choice = _pauli_events(lam, u)
-    kind = np.where(hit, choice, 3)
     for q in range(n):
         v = qubit_view(q)
-        x, y, z = (np.nonzero(kind[:, q] == c)[0] for c in range(3))
+        x, y, z = (np.nonzero(kinds[:, q] == c)[0] for c in range(3))
         v[x] = v[x][:, :, ::-1]  # X: swap the qubit slices
         v[y] = v[y][:, :, ::-1] * _Y_PHASES  # Y: swap with -i, +i phases
         v[z, :, 1] *= -1.0  # Z: negate the |1> slice
@@ -730,14 +729,15 @@ def evolve_density(circuit: NoisyCircuit, oracle_bindings=None) -> DensityMatrix
 
 
 def _noise_layer_states(circuit: NoisyCircuit, oracle_bindings=None):
-    """Yield (state, next op) after each noise layer of the walk: the
-    DensityMatrix that layer leaves and the schedule op after it (None after
-    the last layer)."""
+    """Yield (state, next op) after each noise layer of the walk: a
+    zero-argument function that builds the DensityMatrix that layer leaves,
+    so only the states a caller reads are converted, and the schedule op
+    after it (None after the last layer)."""
     n = circuit.n_qubits
     after = circuit.schedule()[1:] + (None,)
     for (op, c), nxt in zip(_walk_density(circuit, oracle_bindings), after):
         if op is None:
-            yield _built(DensityMatrix, n, _from_pauli(c, n)), nxt
+            yield (lambda c=c: _built(DensityMatrix, n, _from_pauli(c, n))), nxt
 
 
 def exact_output_distribution(circuit: NoisyCircuit, oracle_bindings=None) -> OutcomeDistribution:
@@ -764,8 +764,9 @@ def evolve_statevector(circuit: NoisyCircuit, oracle_bindings=None) -> PureState
         raise CapacityError(
             f"statevector backend supports n <= {STATEVECTOR_QUBIT_CAP}, got {n}"
         )
-    # the noiseless one-row case of the trajectory walk
-    ((_, prod, tensor, order),) = _walk_rows(circuit.schedule(), oracle_bindings, n, 0.0, np.empty((1, 0)))
+    # the noiseless one-row case of the trajectory walk: its kinds have no columns
+    kinds = np.empty((1, 0), dtype=np.uint8)
+    ((_, prod, tensor, order, _),) = _walk_rows(circuit.schedule(), oracle_bindings, n, kinds)
     if tensor is None:
         tensor = _densify(prod)
     return _built(PureState, n, tensor[0].transpose(np.argsort(order)))
@@ -791,50 +792,92 @@ def _chunk_rows(n: int) -> int:
     return max(1, _CHUNK_AMPLITUDES // (2**n))
 
 
-def _walk_rows(ops, oracle_bindings, n: int, lam: float, u, tensor=None):
-    """Run schedule ops on len(u) rows that start in |0..0>, or start as the
-    dense `tensor`; noise op k reads its uniforms from columns [k n, (k + 1) n)
-    of u.  Yields (start, prod, tensor, order) per tile of rows from `start`
-    on, one of prod and tensor None: prod[:, q, :] holds each row's qubit-q
-    amplitudes while all rows are product states, and tensor axis p + 1 holds
-    qubit order[p] once they are not.  The block loop runs in the frame that
-    owns the tensor, so each block's input is freed."""
+def _walk_rows(ops, oracle_bindings, n: int, kinds: np.ndarray):
+    """Run schedule ops on len(kinds) rows that start in |0..0>; noise op k
+    applies the Pauli kinds (`_pauli_events`) in columns [k n, (k + 1) n) of
+    kinds, and a noiseless walk's kinds have no columns.  While all rows are
+    product states, yields (slice(None), prod, None, order, None) once:
+    prod[:, q, :] holds each row's qubit-q amplitudes.  Once they are not,
+    yields (rows, None, tensor, order, run) per tile of rows: row rows[i]
+    holds state run[i] of tensor, whose axis p + 1 holds qubit order[p]."""
     # Rows stay product states until the first entangling step, so gates and
     # noise cost O(batch n) there instead of O(batch 2^n); the first 2-qubit
     # gate or oracle call densifies, one cache-sized tile of rows at a time.
-    batch, col, order = len(u), 0, list(range(n))
-    prod = None if tensor is not None else np.tile(np.array([1, 0], dtype=np.complex128), (batch, n, 1))
-    # noise views each qubit where it sits, oracles see qubit order
+    batch, col = len(kinds), 0
+    prod = np.tile(np.array([1, 0], dtype=np.complex128), (batch, n, 1))
     for i, op in enumerate(ops):
         if op is None:
-            if lam == 0.0:
-                continue
-            block = u[:, col : col + n]
-            col += n
-            if prod is not None:
-                _pauli_noise(lambda q: prod[:, q, None, :, None], n, lam, block)
-            else:  # tensor is C-contiguous here, so each reshape is a view
-                _pauli_noise(lambda q: tensor.reshape(batch, 1 << order.index(q), 2, -1), n, lam, block)
-        elif prod is not None and isinstance(op, GateLayer) and all(len(g.targets) == 1 for g in op.gates):
+            if kinds.shape[1]:
+                _pauli_noise(lambda q: prod[:, q, None, :, None], n, kinds[:, col : col + n])
+                col += n
+        elif isinstance(op, GateLayer) and all(len(g.targets) == 1 for g in op.gates):
             for g in op.gates:
                 q = g.targets[0]
                 prod[:, q, :] = prod[:, q, :] @ g.matrix.T
-        elif prod is not None:
-            # a row's arithmetic does not depend on the rows that share its tile
+        else:
+            # sorted by noise history, the rows that share a history so far
+            # are contiguous and hold bit-identical states
+            walk = kinds[:, : ops.count(None) * n]
+            perm = _history_order(walk)
             r = max(1, _TILE_AMPLITUDES >> n)
             for s in range(0, batch, r):
-                tile = _walk_rows(ops[i:], oracle_bindings, n, lam, u[s : s + r, col:], _densify(prod[s : s + r]))
-                yield (s, *next(tile)[1:])
+                rows = perm[s : s + r]
+                yield rows, None, *_walk_tile(ops[i:], oracle_bindings, n, walk[rows], col, prod[rows])
             return
+    yield slice(None), prod, None, list(range(n)), None
+
+
+def _history_order(kinds: np.ndarray) -> np.ndarray:
+    """Row indices sorted stably by their kinds, column 0 first, so the rows
+    of each common history prefix are contiguous.  The 2-bit kinds are packed
+    32 to a uint64 word, a block of rows at a time, for one `np.lexsort`."""
+    batch, cols = kinds.shape
+    if not cols:
+        return np.arange(batch)
+    words = np.empty((-(-cols // 32), batch), dtype=np.uint64)
+    shifts = (62 - 2 * (np.arange(cols) % 32)).astype(np.uint64)
+    for s in range(0, batch, _EVENT_ROWS):
+        codes = kinds[s : s + _EVENT_ROWS].astype(np.uint64) << shifts
+        for w, word in enumerate(words):
+            word[s : s + _EVENT_ROWS] = codes[:, 32 * w : 32 * w + 32].sum(axis=1)
+    return np.lexsort(words[::-1])  # lexsort's last key is its primary one
+
+
+def _runs(kinds: np.ndarray) -> np.ndarray:
+    """True on row 0 of sorted kinds and on each row unequal to the one before."""
+    head = np.ones(len(kinds), dtype=bool)
+    head[1:] = (kinds[1:] != kinds[:-1]).any(axis=1)
+    return head
+
+
+def _walk_tile(ops, oracle_bindings, n: int, kinds: np.ndarray, col: int, prod: np.ndarray):
+    """The dense phase of a tile of rows sorted by noise history
+    (`_history_order`), from the op that densifies on, with one state per run
+    of rows of equal history: kinds columns [0, col) are behind and prod holds
+    the rows' product states.  Returns (tensor, order, run): row i holds state
+    run[i].  The block loop runs in the frame that owns the tensor, so each
+    block's input is freed."""
+    head = _runs(kinds[:, :col])  # the first row of each run
+    tensor, order = _densify(prod[head]), list(range(n))
+    for op in ops:
+        if op is None:
+            if kinds.shape[1]:
+                split = head | _runs(kinds[:, col : col + n])
+                if np.count_nonzero(split) > len(tensor):  # each new run starts from its parent's state
+                    tensor = tensor[np.cumsum(head)[split] - 1]
+                head, paulis, col = split, kinds[split, col : col + n], col + n
+                # tensor is C-contiguous here, so each reshape is a view
+                _pauli_noise(lambda q: tensor.reshape(len(tensor), 1 << order.index(q), 2, -1), n, paulis)
         elif isinstance(op, GateLayer):
             for block in op._blocks:
                 tensor, order = _block_on_batch(tensor, block, order)
         else:
             tensor = tensor.transpose(0, *(1 + np.argsort(order)))
             binding = _resolve_binding(oracle_bindings, op)
-            tensor = np.ascontiguousarray(binding.apply_statevector(tensor, op.wires, n))
-            order = list(range(n))
-    yield 0, prod, tensor, order
+            # one query per row: the binding acts on every row, one per run is kept
+            out = binding.apply_statevector(tensor[np.cumsum(head) - 1], op.wires, n)
+            tensor, order = np.ascontiguousarray(out[head]), list(range(n))
+    return tensor, order, np.cumsum(head) - 1
 
 
 def _sample_chunk(
@@ -851,10 +894,12 @@ def _sample_chunk(
     All randomness of a chunk is one flat row-major draw, so a row consumes
     the same stream values whichever rows are simulated with it: the stream
     is advanced straight to row `start` (PCG64 spends one step per double).
+    Column 0 of a row's draws is its measurement draw; the rest become its
+    Pauli kinds, taken a block of rows at a time so the pass stays in cache.
 
     Measurement commutes with monomial ops, so rows are measured where the
     monomial tail starts and the outcomes pushed through the tail; its noise
-    flips a bit on X or Y from the same `u` columns.
+    flips a bit on X or Y.
     """
     n = circuit.n_qubits
     lam = circuit.noise.value
@@ -864,27 +909,34 @@ def _sample_chunk(
     rng = rng_for(seed, stream_key, _CHUNK_STREAM_TAG, chunk_index)
     width = schedule.count(None) * n + 1 if lam > 0.0 else 1
     rng.bit_generator.advance(start * width)
-    u = rng.random((batch, width))  # column 0 is the measurement draw
-    col = 1 + schedule[:cut].count(None) * n
-    parts = []
-    for s, prod, tensor, order in _walk_rows(schedule[:cut], oracle_bindings, n, lam, u[:, 1:]):
+    kinds, u0 = np.empty((batch, width - 1), dtype=np.uint8), np.empty(batch)
+    for s in range(0, batch, _EVENT_ROWS):
+        u = rng.random((min(_EVENT_ROWS, batch - s), width))
+        u0[s : s + len(u)] = u[:, 0]
+        if lam > 0.0:
+            kinds[s : s + len(u)] = _pauli_events(lam, u[:, 1:])
+    outcomes = np.empty(batch, dtype=np.int64)
+    for rows, prod, tensor, order, run in _walk_rows(schedule[:cut], oracle_bindings, n, kinds):
         if prod is not None:
-            parts.append(_draw_product(prod, u[:, 0]))
+            outcomes[rows] = _draw_product(prod, u0)
             continue
-        rows = len(tensor)
-        probs = (np.abs(tensor) ** 2).transpose(0, *(1 + np.argsort(order))).reshape(rows, -1)
+        probs = (np.abs(tensor) ** 2).transpose(0, *(1 + np.argsort(order))).reshape(len(tensor), -1)
         probs /= probs.sum(axis=1, keepdims=True)
-        cum = np.cumsum(probs, axis=1)
-        parts.append(np.minimum((cum <= u[s : s + rows, :1]).sum(axis=1), 2**n - 1))
-    outcomes = np.concatenate(parts)
+        cum, draw = np.cumsum(probs, axis=1), u0[rows]
+        # a CDF never decreases, so a binary search of row i's CDF counts its
+        # entries <= draw[i], capped at 2^n - 1
+        pos = np.zeros(len(run), dtype=np.int64)
+        for b in range(n - 1, -1, -1):
+            pos = np.where(cum[run, pos + (1 << b) - 1] <= draw, pos + (1 << b), pos)
+        outcomes[rows] = pos
+    col = schedule[:cut].count(None) * n
     bit_values = 1 << np.arange(n - 1, -1, -1)
     for op in tail:
         if op is not None:
             outcomes = op(outcomes)
         elif lam > 0.0:
-            hit, choice = _pauli_events(lam, u[:, col : col + n])
+            outcomes = outcomes ^ ((kinds[:, col : col + n] < 2) @ bit_values)
             col += n
-            outcomes = outcomes ^ ((hit & (choice < 2)) @ bit_values)
     return outcomes
 
 

@@ -1,11 +1,18 @@
-"""The exact backend against a plain dense-matrix reference on generated circuits.
+"""The backends against references on generated circuits.
 
 Circuits mix Haar and named 1- and 2-qubit gates with oracle calls bound to
-a lifted BV function, a lifted random permutation, a Grover phase and a
-state oracle, at noise rates that include 0, the smallest subnormal and 1.
+a lifted BV function, a lifted random permutation, a Grover phase and (for
+the exact backend) a state oracle, at noise rates that include 0, the
+smallest subnormal and 1.  The exact backend is held against a plain
+dense-matrix reference; the trajectory backend's batches, which simulate
+each distinct noise history once, against its single-row draws.
 """
 
+import itertools
+from collections import Counter
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +26,7 @@ from nisqlab.oracles import (
     make_bv,
     make_grover_phase,
 )
-from nisqlab.qsim import NoisyCircuit, OracleCall
+from nisqlab.qsim import NoisyCircuit, OracleCall, circuit_from_json, circuit_to_json
 
 from conftest import dense_density_reference
 
@@ -51,9 +58,10 @@ def _layer(draw, n: int, rng: np.random.Generator) -> qsim.GateLayer:
 
 
 @st.composite
-def _oracle(draw, n: int, rng: np.random.Generator):
-    """(binding, wires) for one oracle kind that fits on n qubits."""
-    kinds = ["grover", "state"] + (["bv", "permutation"] if n >= 2 else [])
+def _oracle(draw, n: int, rng: np.random.Generator, states: bool):
+    """(binding, wires) for one oracle kind that fits on n qubits; a state
+    oracle only if `states`."""
+    kinds = ["grover"] + ["state"] * states + (["bv", "permutation"] if n >= 2 else [])
     kind = draw(st.sampled_from(kinds))
     wires = draw(st.permutations(range(n)))
     if kind == "bv":
@@ -77,9 +85,10 @@ def _oracle(draw, n: int, rng: np.random.Generator):
 
 
 @st.composite
-def circuits(draw):
-    """(circuit, bindings, calls per oracle id) on 1 to 6 qubits."""
-    n = draw(st.integers(1, 6))
+def circuits(draw, states: bool):
+    """(circuit, bindings, calls per oracle id) on 1 to 7 qubits; state
+    oracles only if `states` (the trajectory backend cannot host them)."""
+    n = draw(st.integers(1, 7))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     steps, bindings, calls = [], {}, {}
     for _ in range(draw(st.integers(0, 5))):
@@ -88,7 +97,7 @@ def circuits(draw):
             continue
         oracle_id = draw(st.sampled_from([f"O{j}" for j in range(len(bindings) + 1)]))
         if oracle_id not in bindings:
-            bindings[oracle_id], wires = draw(_oracle(n, rng))
+            bindings[oracle_id], wires = draw(_oracle(n, rng, states))
             calls[oracle_id] = (wires, 0)
         wires, count = calls[oracle_id]
         calls[oracle_id] = (wires, count + 1)
@@ -105,7 +114,7 @@ def _queries(bindings, run) -> tuple[dict, object]:
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(circuits())
+@given(circuits(states=True))
 def test_exact_backend_matches_dense_reference(case):
     circuit, bindings, calls = case
     ref_queries, ref = _queries(bindings, lambda: dense_density_reference(circuit, bindings))
@@ -114,3 +123,36 @@ def test_exact_backend_matches_dense_reference(case):
     assert ref_queries == walk_queries == read_queries == calls
     np.testing.assert_allclose(rho.entries, ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(dist.as_array(), np.diag(ref).real, rtol=0, atol=1e-12)
+
+
+STREAM_PREFIX = 100
+SHOTS = 300
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(circuits(states=False), st.integers(0, 2**32 - 1))
+def test_trajectory_batches_match_single_rows(case, seed):
+    circuit, bindings, calls = case
+    n = circuit.n_qubits
+
+    def sample(circ, threads: int = 1) -> dict[str, int]:
+        return qsim.sample_outcomes(circ, bindings, seed, SHOTS, threads)
+
+    # a single-row walk shares nothing, so it is the per-row reference
+    stream_queries, stream = _queries(
+        bindings, lambda: list(itertools.islice(qsim.sample_stream(circuit, bindings, seed), STREAM_PREFIX))
+    )
+    assert stream == [qsim.sample_trajectory(circuit, bindings, seed, i) for i in range(STREAM_PREFIX)]
+    assert dict(Counter(stream)) == qsim.sample_outcomes(circuit, bindings, seed, STREAM_PREFIX)
+    assert stream_queries == {k: 128 * c for k, c in calls.items()}  # rows [0, 64) then [64, 128)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qsim, "_CHUNK_AMPLITUDES", 128 << n)  # three chunks for the threads to share
+        queries, counts = _queries(bindings, lambda: sample(circuit))
+        assert queries == {k: SHOTS * c for k, c in calls.items()}
+        assert sample(circuit, threads=2) == counts
+        back = circuit_from_json(circuit_to_json(circuit))
+        assert qsim.circuit_fingerprint(back) == qsim.circuit_fingerprint(circuit)
+        assert sample(back) == counts
+        mp.setattr(qsim, "_TILE_AMPLITUDES", 3 << n)
+        assert sample(circuit) == counts

@@ -416,7 +416,7 @@ class TestExactDistribution:
             assert_readout_paths_agree(NoisyCircuit(n, (), lam))
 
     def test_walk_never_writes_a_yielded_tensor(self, rng):
-        # consumers such as metrics.check_hybrid_bound keep yielded tensors
+        # evolve_density, exact_output_distribution and _noise_layer_states keep yielded tensors
         bindings = {"F": lift_to_unitary(make_bv("11")), "S": StateOracleBinding(StateOracle(1, "Y", 1))}
         steps = (layer(H(0), H(1)), OracleCall("F", (0, 1, 2)), OracleCall("S", (1,)))
         steps += qsim.random_circuit(3, 2, 0.0, rng).steps
@@ -435,7 +435,7 @@ class TestExactDistribution:
             assert [nxt for _, nxt in states] == [*circ.steps, None]
             assert len(states) == circ.noise_layer_count()
             full = qsim.evolve_density(circ, bindings).entries
-            np.testing.assert_allclose(states[-1][0].entries, full, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(states[-1][0]().entries, full, rtol=0, atol=1e-15)
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
@@ -487,8 +487,8 @@ class TestTrajectories:
         batch, n = 64, 4
         prod = random_amplitudes(rng, batch, n, 2)
         u = rng.random((batch, n))
-        hit, choice = qsim._pauli_events(1.0, u)
-        assert set(choice[hit]) == {0, 1, 2}
+        kinds = qsim._pauli_events(1.0, u)
+        assert set(kinds.ravel()) == {0, 1, 2, 3}
 
         def densify(p):
             t = p[:, 0, :]
@@ -498,8 +498,8 @@ class TestTrajectories:
 
         dense = densify(prod)
         clean = dense.copy()
-        qsim._pauli_noise(lambda q: dense.reshape(batch, 1 << q, 2, -1), n, 1.0, u)
-        qsim._pauli_noise(lambda q: prod[:, q, None, :, None], n, 1.0, u)
+        qsim._pauli_noise(lambda q: dense.reshape(batch, 1 << q, 2, -1), n, kinds)
+        qsim._pauli_noise(lambda q: prod[:, q, None, :, None], n, kinds)
         np.testing.assert_allclose(densify(prod), dense, rtol=1e-14, atol=0)
         assert not np.allclose(dense, clean)
 
@@ -665,6 +665,21 @@ class TestMonomialTail:
         list(itertools.islice(qsim.sample_stream(circ, b, seed=4), 100))
         assert oracle.query_counter.value - 1000 == 128  # rows [0, 64) then [64, 128)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_dense_phase_counts_one_query_per_trajectory(self, lam):
+        # rows that share a noise history share one state, yet each row queries
+        n = 7
+        rng = np.random.default_rng([n, 0xB7])
+        oracle = make_bv("101101")
+        b = {"O": lift_to_unitary(oracle)}
+        first, last = qsim.random_layer(n, rng, 1.0), qsim.random_layer(n, rng, 1.0)
+        circ = NoisyCircuit(n, [first, OracleCall("O", tuple(range(n))), last], lam)
+        assert qsim._monomial_tail(circ.schedule(), b, n)[0] == len(circ.schedule())
+        sample_outcomes(circ, b, seed=4, shots=5000)  # ten 512-row tiles
+        assert oracle.query_counter.value == 5000
+        list(itertools.islice(qsim.sample_stream(circ, b, seed=4), 100))
+        assert oracle.query_counter.value - 5000 == 128  # rows [0, 64) then [64, 128)
+
 
 class TestFusedLayers:
     @pytest.mark.parametrize("n", range(1, 10))
@@ -687,9 +702,9 @@ class TestFusedLayers:
                 fused, order = qsim._block_on_batch(fused, block, order)
                 assert fused.flags.c_contiguous
             ref = np.ascontiguousarray(ref)
-            u = rng.random((batch, n))
-            qsim._pauli_noise(lambda q: ref.reshape(batch, 1 << q, 2, -1), n, lam, u)
-            qsim._pauli_noise(lambda q: fused.reshape(batch, 1 << order.index(q), 2, -1), n, lam, u)
+            kinds = qsim._pauli_events(lam, rng.random((batch, n)))
+            qsim._pauli_noise(lambda q: ref.reshape(batch, 1 << q, 2, -1), n, kinds)
+            qsim._pauli_noise(lambda q: fused.reshape(batch, 1 << order.index(q), 2, -1), n, kinds)
         assert n < 6 or order != list(range(n))
         logical = fused.transpose(0, *(1 + np.argsort(order)))
         np.testing.assert_allclose(logical, ref, rtol=0, atol=1e-12)
@@ -708,7 +723,8 @@ class TestFusedLayers:
             if op is None:
                 ref = np.ascontiguousarray(ref)
                 block = u[:, 1 + n * (i // 2) : 1 + n * (i // 2 + 1)]
-                qsim._pauli_noise(lambda q: ref.reshape(rows, 1 << q, 2, -1), n, 0.3, block)
+                kinds = qsim._pauli_events(0.3, block)
+                qsim._pauli_noise(lambda q: ref.reshape(rows, 1 << q, 2, -1), n, kinds)
             else:
                 for g in op.gates:
                     ref = apply_unitary_tensor(ref, g.matrix, tuple(t + 1 for t in g.targets))
@@ -796,6 +812,20 @@ class TestRowTiles:
             stream = list(itertools.islice(qsim.sample_stream(circ, bindings, seed=5), 300))
             return sample_outcomes(circ, bindings, seed=5, shots=shots), stream
 
+        def densified(start: int, stop: int) -> list[int]:
+            # rows [start, stop) of chunk 0 in 3-row tiles after a stable sort by
+            # noise history: a tile densifies its distinct histories up to the
+            # first entangling step, after one noise layer or after three
+            lam, schedule = circ.noise.value, circ.schedule()
+            u = rng_for(5, qsim.circuit_fingerprint(circ), qsim._CHUNK_STREAM_TAG, 0).random(
+                (stop, schedule.count(None) * n + 1 if lam else 1)
+            )[start:]
+            cols = schedule[:cut].count(None) * n
+            walk = [tuple(k) for k in qsim._pauli_events(lam, u[:, 1 : 1 + cols])] if lam else [()] * len(u)
+            rows = sorted(range(len(walk)), key=walk.__getitem__)
+            pre = n * (3 if case == "entangles_late" else 1)
+            return [len({walk[i][:pre] for i in rows[s : s + 3]}) for s in range(0, len(rows), 3)]
+
         monkeypatch.setattr(qsim, "_TILE_AMPLITUDES", qsim._CHUNK_AMPLITUDES)
         untiled = run()
         tiles: list[int] = []
@@ -803,7 +833,10 @@ class TestRowTiles:
         monkeypatch.setattr(qsim, "_TILE_AMPLITUDES", 3 << n)
         monkeypatch.setattr(qsim, "_densify", lambda prod: tiles.append(len(prod)) or densify(prod))
         assert run() == untiled
-        assert max(tiles) == 3 and sum(tiles) == shots + 512  # the stream simulates rows [0, 512)
+        # the stream simulates rows [0, 64), [64, 128), [128, 256), [256, 512), then the batch [0, shots)
+        ranges = [(0, 64), (64, 128), (128, 256), (256, 512), (0, shots)]
+        assert tiles == [k for r in ranges for k in densified(*r)]
+        assert case != "noiseless" or set(tiles) == {1}
 
 
 class TestSerialization:
