@@ -22,6 +22,7 @@ from .errors import CapacityError, InvariantViolation, UsageError
 from .oracles import SimonSpec, make_simon
 
 BLOCK_LENGTH_CAP = 2**20
+BASE_LENGTH_CAP = 12  # a base code's decode tables hold 3^m entries each
 STATE_BLOCK_CAP = 14
 
 
@@ -58,6 +59,8 @@ class BaseCode:
     d: int
 
     def __post_init__(self) -> None:
+        if self.m > BASE_LENGTH_CAP:
+            raise CapacityError(f"base length {self.m} exceeds {BASE_LENGTH_CAP}")
         gc = np.asarray(self.generator_c, dtype=np.uint8) % 2
         gp = np.asarray(self.generator_c_perp, dtype=np.uint8) % 2
         if gc.ndim != 2 or gc.shape[1] != self.m or gp.ndim != 2 or gp.shape[1] != self.m:
@@ -73,11 +76,23 @@ class BaseCode:
         if missing:
             raise UsageError(f"dual words {missing[:3]} are not codewords of C")
         object.__setattr__(self, "_cosets", (coset0, coset1))
-        sep = int(_coset_distance(coset1, self, 0).min())
+        sep = int(_coset_distance(coset1.T, self, 0).min())
         if sep < 2 * self.d + 1:
             raise UsageError(
                 f"coset separation {sep} below 2d+1 = {2 * self.d + 1}"
             )
+        # one table per rule: word over {0, 1, 2} (base-3 index) -> 0, 1 or 2
+        powers = 3 ** np.arange(self.m)[::-1]
+        words = (np.arange(3**self.m) // powers[:, None] % 3).astype(np.uint8)  # one per column
+        dist = _coset_distance(words, self, 0), _coset_distance(words, self, 1)
+        tables = {}
+        for rule in (_exact, _neighbourhood, _majority):
+            hit0, hit1 = rule(*dist, self.d)
+            if (hit0 & hit1).any():
+                raise InvariantViolation(f"error sets overlap at {words[:, np.argmax(hit0 & hit1)]}")
+            tables[rule] = np.where(hit0 | hit1, hit1, 2).astype(np.uint8)
+        object.__setattr__(self, "_powers", powers)
+        object.__setattr__(self, "_tables", tables)
 
     def coset(self, b: int) -> np.ndarray:
         return self._cosets[b]
@@ -138,8 +153,9 @@ def _as_block(x, length: int) -> np.ndarray:
 
 
 def _coset_distance(words: np.ndarray, base: BaseCode, b: int) -> np.ndarray:
-    """Distance from each row of `words` to the nearest word of coset b."""
-    return (words[:, None, :] != base.coset(b)).sum(axis=2).min(axis=1)
+    """Distance from each column of `words` to the nearest word of coset b."""
+    far = ((words != w[:, None]).sum(axis=0, dtype=np.uint8) for w in base.coset(b))
+    return functools.reduce(np.minimum, far)
 
 
 # Each rule names the words it accepts into coset 0 and into coset 1.
@@ -160,21 +176,14 @@ def _majority(d0, d1, d):
 def _fold(arr: np.ndarray, spec: ConcatCodeSpec, classify) -> np.ndarray:
     """Decode each m^r-bit block of `arr` to one symbol, bottom level first.
 
-    Every level reads the symbols as m-symbol words and maps each word to 0
-    or 1 if `classify` accepts it into that coset only, else to 2
-    (undecoded).  Symbol 2 matches no coset letter, so an undecoded
-    sub-block is one error a level up.  A word accepted by both cosets
-    means the error sets overlap.
+    Every level reads the symbols as m-symbol words and looks each word up
+    in the base code's table for `classify`: 0 or 1 if the rule accepts it
+    into that coset only, else 2 (undecoded).  Symbol 2 matches no coset
+    letter, so an undecoded sub-block is one error a level up.
     """
     base, sym = spec.base, arr
-    for level in range(1, spec.r + 1):
-        words = sym.reshape(-1, base.m)
-        hit0, hit1 = classify(_coset_distance(words, base, 0), _coset_distance(words, base, 1), base.d)
-        both = np.flatnonzero(hit0 & hit1)
-        if both.size:
-            word = "".join(map(str, words[both[0]]))
-            raise InvariantViolation(f"error sets overlap at r={level}: {word}")
-        sym = np.where(hit0 | hit1, hit1, 2)
+    for _ in range(spec.r):
+        sym = base._tables[classify][sym.reshape(-1, base.m) @ base._powers]
     return sym
 
 

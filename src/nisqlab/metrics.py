@@ -298,7 +298,7 @@ def check_hybrid_bound(
         for state, nxt in _noise_layer_states(template, {oracle_id: channel}):
             if isinstance(nxt, OracleCall):
                 probes.append(state().tensor())
-        finals.append(state().outcome_distribution())
+        finals.append(state(law=True))
     p0, p1 = finals
     rng = rng_for(seed, 0x4879)
     for _ in range(trials):

@@ -729,15 +729,20 @@ def evolve_density(circuit: NoisyCircuit, oracle_bindings=None) -> DensityMatrix
 
 
 def _noise_layer_states(circuit: NoisyCircuit, oracle_bindings=None):
-    """Yield (state, next op) after each noise layer of the walk: a
-    zero-argument function that builds the DensityMatrix that layer leaves,
-    so only the states a caller reads are converted, and the schedule op
-    after it (None after the last layer)."""
+    """Yield (state, next op) after each noise layer of the walk: state()
+    builds the DensityMatrix that layer leaves, so only the states a caller
+    reads are converted, and state(law=True) reads its outcome law without
+    the matrix; the next op is the schedule op after the layer (None after
+    the last one)."""
     n = circuit.n_qubits
+
+    def state(c, law=False):
+        return _readout(c, n) if law else _built(DensityMatrix, n, _from_pauli(c, n))
+
     after = circuit.schedule()[1:] + (None,)
     for (op, c), nxt in zip(_walk_density(circuit, oracle_bindings), after):
         if op is None:
-            yield (lambda c=c: _built(DensityMatrix, n, _from_pauli(c, n))), nxt
+            yield functools.partial(state, c), nxt
 
 
 def exact_output_distribution(circuit: NoisyCircuit, oracle_bindings=None) -> OutcomeDistribution:

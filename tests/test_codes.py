@@ -1,6 +1,7 @@
 """Recursive code membership, decoding, and robust oracle evaluation."""
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -88,6 +89,14 @@ class TestBaseCode:
         with pytest.raises(UsageError, match="separation"):
             BaseCode(3, np.eye(3, dtype=np.uint8), np.array([[1, 1, 0]]), 1)
 
+    def test_base_length_cap(self):
+        # decode tables hold 3^m entries: a base at the cap builds, one past it is refused first
+        repetition = lambda m: BaseCode(m, np.ones((1, m), dtype=np.uint8), np.zeros((1, m), dtype=np.uint8), 1)
+        m = codes.BASE_LENGTH_CAP
+        assert membership_A("1" * (m - 1) + "0", ConcatCodeSpec(repetition(m), 1)).bit == 1
+        with pytest.raises(CapacityError, match="base length"):
+            repetition(m + 1)
+
     def test_spec_validation(self, hamming):
         with pytest.raises(UsageError):
             ConcatCodeSpec(hamming, 0)
@@ -111,11 +120,11 @@ class TestMembershipExhaustive:
             assert got is expect, x
         assert counts == {DecodedBit.ZERO: 8, DecodedBit.ONE: 8, DecodedBit.BOTTOM: 112}
 
-    def test_overlapping_error_sets_raise(self, spec1, monkeypatch):
-        # every word within distance d of both cosets: the overlap check fires
-        monkeypatch.setattr(codes, "_coset_distance", lambda word, base, b: 0)
+    def test_overlapping_error_sets_raise(self, monkeypatch):
+        # a rule that accepts every word into both cosets: the table build refuses it
+        monkeypatch.setattr(codes, "_neighbourhood", lambda d0, d1, d: (d0 >= 0, d1 >= 0))
         with pytest.raises(InvariantViolation, match="overlap"):
-            membership_A("0" * 7, spec1)
+            hamming_base_code()
 
     def test_single_flip_breaks_exact_membership(self, hamming, spec1):
         for b in (0, 1):
@@ -218,6 +227,18 @@ class TestFoldAgainstRecursion:
         refs = [reference_decoder(spec.base, rule) for rule, _ in self.RULES]
         for w in words[:: 2**16 // 512]:
             assert public_decode(w, spec) == tuple(ref(tuple(w.tolist()), 2) for ref in refs)
+
+    @pytest.mark.parametrize(
+        "base", [weight4_base(), tiny_base_code(), hamming_base_code()], ids=["weight4", "tiny", "hamming"]
+    )
+    def test_every_symbol_word_at_r1(self, base):
+        # every word over {0, 1, 2}, so each table entry is read once per rule
+        spec = ConcatCodeSpec(base, 1)
+        words = np.array(list(itertools.product(range(3), repeat=base.m)), dtype=np.uint8)
+        for rule, classify in self.RULES:
+            ref = reference_decoder(base, rule)
+            expect = [ref(w, 1) for w in map(tuple, words.tolist())]
+            assert codes._fold(words.reshape(-1), spec, classify).tolist() == expect, rule
 
     @pytest.mark.parametrize(
         "base", [weight4_base(), tiny_base_code(), hamming_base_code()], ids=["weight4", "tiny", "hamming"]

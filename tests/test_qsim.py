@@ -437,6 +437,15 @@ class TestExactDistribution:
             full = qsim.evolve_density(circ, bindings).entries
             np.testing.assert_allclose(states[-1][0]().entries, full, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_noise_layer_law_is_the_state_diagonal(self, lam, rng):
+        # state(law=True) reads each layer's outcome law without building the matrix
+        bindings = {"F": lift_to_unitary(make_bv("11"))}
+        circ = NoisyCircuit(3, (OracleCall("F", (0, 1, 2)), *qsim.random_circuit(3, 2, 0.0, rng).steps), lam)
+        for state, _ in qsim._noise_layer_states(circ, bindings):
+            law, diagonal = state(law=True).as_array(), state().outcome_distribution().as_array()
+            np.testing.assert_allclose(law, diagonal, rtol=0, atol=1e-15)
+
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             exact_output_distribution(NoisyCircuit(11, (), 0.0))
