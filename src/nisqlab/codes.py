@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,9 +54,10 @@ class BaseCode:
     """Base pair (C, C^perp) with C^perp <= C and well-separated cosets."""
 
     m: int
-    generator_c: np.ndarray
-    generator_c_perp: np.ndarray
+    generator_c: np.ndarray = field(compare=False)
+    generator_c_perp: np.ndarray = field(compare=False)
     d: int
+    _key: tuple = field(init=False, repr=False)  # the generators' shapes and bytes, for == and hash
 
     def __post_init__(self) -> None:
         if self.m > BASE_LENGTH_CAP:
@@ -69,6 +70,7 @@ class BaseCode:
             raise UsageError("d must be nonnegative")
         object.__setattr__(self, "generator_c", gc)
         object.__setattr__(self, "generator_c_perp", gp)
+        object.__setattr__(self, "_key", tuple((g.shape, g.tobytes()) for g in (gc, gp)))
         code_c = {arr_to_str(w) for w in _span(gc)}
         coset0 = _span(gp)
         coset1 = (coset0 + 1) % 2

@@ -185,10 +185,17 @@ class GateLayer:
         return _fuse([(g.targets, g.matrix) for g in self.gates], _FUSE_QUBITS)
 
     @functools.cached_property
-    def _transfer_blocks(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
-        """The gates' Pauli transfer matrices (`_transfer`) in blocks of at most
-        _TRANSFER_QUBITS qubits: the layer as the density walk applies it."""
-        return _fuse([(g.targets, _transfer(g.matrix)) for g in self.gates], _TRANSFER_QUBITS)
+    def _transfers(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+        """(targets, Pauli transfer matrix `_transfer`) of each gate, in gate order."""
+        return tuple((g.targets, _transfer(g.matrix)) for g in self.gates)
+
+    def _transfer_blocks(self, qubits: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+        """The `_transfers` on `qubits` in blocks of at most _TRANSFER_QUBITS qubits,
+        fused once per group: the layer on the density walk's factor over `qubits`."""
+        fused = self.__dict__.setdefault("_fused", {})
+        if qubits not in fused:
+            fused[qubits] = _fuse([t for t in self._transfers if t[0][0] in qubits], _TRANSFER_QUBITS)
+        return fused[qubits]
 
 
 def _fuse(blocks: list, width: int) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
@@ -485,19 +492,10 @@ def _block_on_batch(tensor: np.ndarray, block: tuple, order: list[int]) -> tuple
     per block, so a caller that rebinds its tensor frees each block's input.
     This is the one kernel that applies a gate matrix to a dense state."""
     targets, m = block
-    axes = [1 + order.index(t) for t in targets]
-    moved = np.moveaxis(tensor, axes, range(tensor.ndim - len(axes), tensor.ndim))
+    moved_order = [q for q in order if q not in targets] + list(targets)
+    moved = tensor.transpose(0, *(1 + order.index(q) for q in moved_order))
     out = (moved.reshape(-1, len(m)) @ m.T).reshape(moved.shape)
-    return out, [q for q in order if q not in targets] + list(targets)
-
-
-def _layer_on_tensor(tensor: np.ndarray, blocks: tuple) -> np.ndarray:
-    """A layer's blocks on a tensor whose axis q holds qubit q (2 amplitudes or
-    4 Pauli coefficients), with tracked order; returns a view in qubit order."""
-    tensor, order = tensor[None], list(range(tensor.ndim))
-    for block in blocks:
-        tensor, order = _block_on_batch(tensor, block, order)
-    return tensor[0].transpose(np.argsort(order))
+    return out, moved_order
 
 
 def _on_every_axis(tensor: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -684,10 +682,13 @@ def apply_gate_layer(state: "PureState | DensityMatrix", lay: GateLayer):
         if not (0 <= t < n):
             raise UsageError(f"gate target {t} outside [0, {n})")
     if isinstance(state, PureState):
-        return _built(PureState, n, _layer_on_tensor(state.tensor(), lay._blocks))
+        tensor, order = state.tensor()[None], list(range(n))
+        for block in lay._blocks:
+            tensor, order = _block_on_batch(tensor, block, order)
+        return _built(PureState, n, tensor[0].transpose(np.argsort(order)))
     if isinstance(state, DensityMatrix):
-        c = _layer_on_tensor(_to_pauli(state.entries, n), lay._transfer_blocks)
-        return _built(DensityMatrix, n, _from_pauli(c, n))
+        factors = _layer_on_factors([(_to_pauli(state.entries, n), tuple(range(n)))], lay)
+        return _built(DensityMatrix, n, _from_pauli(_in_qubit_order(factors), n))
     raise UsageError(f"unsupported state type {type(state).__name__}")
 
 
@@ -698,34 +699,69 @@ def depolarize_all(rho: DensityMatrix, lam: "NoiseRate | float") -> DensityMatri
 
 
 def _walk_density(circuit: NoisyCircuit, oracle_bindings=None):
-    """Yield (op, Pauli tensor after op) for each op of circuit.schedule(): the
-    state's real coefficients (`_to_pauli`), in qubit order.  A yielded tensor
-    is never written again, so consumers may keep it."""
+    """Yield (op, factors) for each op of circuit.schedule(): the state's real
+    Pauli coefficients (`_to_pauli`) as a product of factors (tensor, qubits),
+    one per group of qubits that gates have joined, axis p indexing qubit
+    qubits[p].  A yielded tensor is never written again."""
     n = circuit.n_qubits
     if n > DENSITY_QUBIT_CAP:
         raise CapacityError(f"density backend supports n <= {DENSITY_QUBIT_CAP}, got {n}")
-    # c is a one-row batch whose axis p + 1 holds qubit order[p]; the noise
-    # table is the same in every qubit order, so noise needs no transpose
-    noise = _product_table([1.0] + [1.0 - circuit.noise.value] * 3, n)  # one table a walk
-    c, order = _product_table([1.0, 0.0, 0.0, 1.0], n)[None], list(range(n))  # |0><0| = (I + Z) / 2
+    # a noise layer is a product over qubits, so it keeps factors apart.  Its table is the same
+    # in every qubit order; a factor takes it in tables of at most 4^5, none the state's size
+    table = functools.cache(lambda k: _product_table([1.0] + [1.0 - circuit.noise.value] * 3, k))
+
+    def noise(c):
+        out = c * table(min(c.ndim, 5))
+        if c.ndim > 5:
+            out *= table(c.ndim - 5).reshape((4,) * (c.ndim - 5) + (1,) * 5)
+        return out
+
+    factors = tuple((np.array([1.0, 0.0, 0.0, 1.0]), (q,)) for q in range(n))  # |0><0| = (I + Z) / 2
     for op in circuit.schedule():
         if op is None:
-            c = c * noise
+            factors = tuple((noise(c), qubits) for c, qubits in factors)
         elif isinstance(op, GateLayer):
-            for block in op._transfer_blocks:
-                c, order = _block_on_batch(c, block, order)
+            factors = _layer_on_factors(factors, op)
         else:  # bindings act on the matrix
-            rho = _from_pauli(c[0].transpose(np.argsort(order)), n)
+            rho = _from_pauli(_in_qubit_order(factors), n)
             rho = _resolve_binding(oracle_bindings, op).apply_density(rho, op.wires, n)
-            c, order = _to_pauli(rho, n).real[None], list(range(n))
-        yield op, c[0].transpose(np.argsort(order))
+            factors = ((_to_pauli(rho, n).real, tuple(range(n))),)
+        yield op, factors
+
+
+def _layer_on_factors(factors, lay: GateLayer) -> tuple:
+    """A gate layer on the walk's factors: a gate across two factors joins
+    them, then each factor's blocks act (`GateLayer._transfer_blocks`)."""
+    factors = list(factors)
+    for targets, _ in lay._transfers:
+        hit = [i for i, (_, qubits) in enumerate(factors) if targets[0] in qubits or targets[-1] in qubits]
+        if len(hit) > 1:
+            factors = [f for i, f in enumerate(factors) if i not in hit] + [_join([factors[i] for i in hit])]
+    out = []
+    for c, qubits in factors:
+        c, order = c[None], list(qubits)
+        for block in lay._transfer_blocks(qubits):
+            c, order = _block_on_batch(c, block, order)
+        out.append((c[0], tuple(order)))
+    return tuple(out)
+
+
+def _join(factors) -> tuple[np.ndarray, tuple[int, ...]]:
+    """One factor for the product of `factors`, axes in their qubits' turn."""
+    return functools.reduce(np.multiply.outer, [c for c, _ in factors]), sum((q for _, q in factors), ())
+
+
+def _in_qubit_order(factors) -> np.ndarray:
+    """The tensor of the product of `factors`, its axis q indexing qubit q."""
+    c, qubits = _join(factors)
+    return c.transpose(np.argsort(qubits))
 
 
 def evolve_density(circuit: NoisyCircuit, oracle_bindings=None) -> DensityMatrix:
     """Exact final pre-measurement state (all noise layers applied)."""
-    for _, c in _walk_density(circuit, oracle_bindings):
+    for _, factors in _walk_density(circuit, oracle_bindings):
         pass
-    return _built(DensityMatrix, circuit.n_qubits, _from_pauli(c, circuit.n_qubits))
+    return _built(DensityMatrix, circuit.n_qubits, _from_pauli(_in_qubit_order(factors), circuit.n_qubits))
 
 
 def _noise_layer_states(circuit: NoisyCircuit, oracle_bindings=None):
@@ -736,28 +772,29 @@ def _noise_layer_states(circuit: NoisyCircuit, oracle_bindings=None):
     the last one)."""
     n = circuit.n_qubits
 
-    def state(c, law=False):
-        return _readout(c, n) if law else _built(DensityMatrix, n, _from_pauli(c, n))
+    def state(factors, law=False):
+        return _readout(factors) if law else _built(DensityMatrix, n, _from_pauli(_in_qubit_order(factors), n))
 
     after = circuit.schedule()[1:] + (None,)
-    for (op, c), nxt in zip(_walk_density(circuit, oracle_bindings), after):
+    for (op, factors), nxt in zip(_walk_density(circuit, oracle_bindings), after):
         if op is None:
-            yield functools.partial(state, c), nxt
+            yield functools.partial(state, factors), nxt
 
 
 def exact_output_distribution(circuit: NoisyCircuit, oracle_bindings=None) -> OutcomeDistribution:
     """Exact outcome probabilities via the density-matrix backend."""
-    for _, c in _walk_density(circuit, oracle_bindings):
+    for _, factors in _walk_density(circuit, oracle_bindings):
         pass
-    return _readout(c, circuit.n_qubits)
+    return _readout(factors)
 
 
-def _readout(c: np.ndarray, n: int) -> OutcomeDistribution:
-    """Outcome law of the Pauli tensor c.  Only its {I, Z} sub-tensor reaches
-    the diagonal, and p(x) = 2^-n sum_s c_s (-1)^(x.s) is one Walsh-Hadamard
-    step per qubit."""
-    p = _on_every_axis(c[(slice(0, None, 3),) * n], np.array([[0.5, 0.5], [0.5, -0.5]]))
-    return OutcomeDistribution.from_array(n, p.reshape(-1))
+def _readout(factors) -> OutcomeDistribution:
+    """Outcome law of the walk's factors.  Only their {I, Z} sub-tensors reach
+    the diagonal, so only those are joined, and p(x) = 2^-n sum_s c_s (-1)^(x.s)
+    is one Walsh-Hadamard step per qubit."""
+    c = _in_qubit_order([(c[(slice(0, None, 3),) * c.ndim], qubits) for c, qubits in factors])
+    p = _on_every_axis(c, np.array([[0.5, 0.5], [0.5, -0.5]]))
+    return OutcomeDistribution.from_array(c.ndim, p.reshape(-1))
 
 
 def evolve_statevector(circuit: NoisyCircuit, oracle_bindings=None) -> PureState:

@@ -43,6 +43,8 @@ class Mutant:
 
 
 GOLDEN_SAMPLING = "tests/test_golden.py::test_sampling_counts_and_stream"
+DIFFERENTIAL_EXACT = "tests/test_differential.py::test_exact_backend_matches_dense_reference"
+FACTOR_WALK = "tests/test_qsim.py::TestFactorWalk::test_factors_never_cross_unjoined_groups"
 
 MUTANTS = (
     Mutant(
@@ -72,7 +74,7 @@ MUTANTS = (
         "qsim.py",
         "out = (moved.reshape(-1, len(m)) @ m.T).reshape(moved.shape)",
         "out = (moved.reshape(-1, len(m)) @ m).reshape(moved.shape)",
-        ("tests/test_differential.py::test_exact_backend_matches_dense_reference",),
+        (DIFFERENTIAL_EXACT,),
     ),
     Mutant(
         "split-parent-off-by-one",
@@ -94,6 +96,20 @@ MUTANTS = (
         "return nonzero.argmax(axis=0)",
         "return nonzero.argmax(axis=1)",
         ("tests/test_qsim.py::TestMonomialTail::test_detector_reads_monomial_matrices",),
+    ),
+    Mutant(
+        "factor-join-reversed",
+        "qsim.py",
+        "sum((q for _, q in factors), ())",
+        "sum((q for _, q in factors[::-1]), ())",
+        (FACTOR_WALK, DIFFERENTIAL_EXACT),
+    ),
+    Mutant(
+        "factor-noise-first-width",
+        "qsim.py",
+        "out = c * table(min(c.ndim, 5))",
+        "out = c * table(min(factors[0][0].ndim, 5))",
+        (FACTOR_WALK, DIFFERENTIAL_EXACT),
     ),
     Mutant(
         "code-table-digits-reversed",

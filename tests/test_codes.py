@@ -97,6 +97,18 @@ class TestBaseCode:
         with pytest.raises(CapacityError, match="base length"):
             repetition(m + 1)
 
+    def test_equality_and_hash_are_by_value(self, hamming):
+        # the generators are compared by shape and bytes after reduction mod 2
+        twin = BaseCode(7, hamming.generator_c + 2, hamming.generator_c_perp.astype(np.int64), 1)
+        assert twin == hamming and hash(twin) == hash(hamming)
+        spec = ConcatCodeSpec(hamming, 1)
+        assert spec == ConcatCodeSpec(twin, 1) and hash(spec) == hash(ConcatCodeSpec(twin, 1))
+        assert {spec: "one"}[ConcatCodeSpec(hamming_base_code(), 1)] == "one"
+        assert spec != ConcatCodeSpec(hamming, 2)
+        rows = hamming.generator_c[[1, 0, 2, 3]]  # the same code C, another generator
+        assert BaseCode(7, rows, hamming.generator_c_perp, 1) != hamming
+        assert BaseCode(7, hamming.generator_c, hamming.generator_c_perp, 0) != hamming
+
     def test_spec_validation(self, hamming):
         with pytest.raises(UsageError):
             ConcatCodeSpec(hamming, 0)

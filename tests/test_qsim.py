@@ -49,7 +49,14 @@ from nisqlab.qsim import (
 )
 from nisqlab.seeding import rng_for
 
-from conftest import apply_unitary_tensor, counts_to_probs, densify_broadcast, layer_gate_by_gate, tv_dicts
+from conftest import (
+    apply_unitary_tensor,
+    counts_to_probs,
+    dense_density_reference,
+    densify_broadcast,
+    layer_gate_by_gate,
+    tv_dicts,
+)
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -311,7 +318,7 @@ def assert_readout_paths_agree(circ: NoisyCircuit, bindings=None) -> None:
 
 class TestPauliBasis:
     def test_transfer_block_of_a_haar_gate_is_real_orthogonal_and_unital(self, rng):
-        ((targets, r),) = layer(Gate(qsim.haar_unitary(4, rng), (2, 0)))._transfer_blocks
+        ((targets, r),) = layer(Gate(qsim.haar_unitary(4, rng), (2, 0)))._transfers
         assert targets == (2, 0) and r.dtype == np.float64
         np.testing.assert_allclose(r @ r.T, np.eye(16), rtol=0, atol=1e-14)
         np.testing.assert_allclose(r[:, 0], np.eye(16)[0], rtol=0, atol=1e-15)  # I (x) I -> I (x) I
@@ -326,7 +333,7 @@ class TestPauliBasis:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_readout_of_the_zero_state_is_a_point_mass(self, n):
         zero = qsim._product_table([1.0, 0.0, 0.0, 1.0], n)
-        assert qsim._readout(zero, n).probabilities == {"0" * n: 1.0}
+        assert qsim._readout([(zero, tuple(range(n)))]).probabilities == {"0" * n: 1.0}
 
 
 class TestExactDistribution:
@@ -421,9 +428,10 @@ class TestExactDistribution:
         steps = (layer(H(0), H(1)), OracleCall("F", (0, 1, 2)), OracleCall("S", (1,)))
         steps += qsim.random_circuit(3, 2, 0.0, rng).steps
         for lam in (0.0, 0.3):
-            kept = [(rho, rho.copy()) for _, rho in qsim._walk_density(NoisyCircuit(3, steps, lam), bindings)]
-            for rho, snapshot in kept:
-                np.testing.assert_array_equal(rho, snapshot)
+            walk = qsim._walk_density(NoisyCircuit(3, steps, lam), bindings)
+            kept = [(c, c.copy()) for _, factors in walk for c, _ in factors]
+            for c, snapshot in kept:
+                np.testing.assert_array_equal(c, snapshot)
 
     @pytest.mark.parametrize("lam", [0.0, 0.3])
     def test_noise_layer_states_follow_the_schedule(self, lam, rng):
@@ -454,6 +462,74 @@ class TestExactDistribution:
         circ = NoisyCircuit(2, (OracleCall("f", (0, 1)),), 0.0)
         with pytest.raises(UsageError, match="unbound"):
             exact_output_distribution(circ)
+
+
+def _embedded(m: np.ndarray, first: int, n: int) -> np.ndarray:
+    """A gate on qubits first, first + 1, ... as a 2^n x 2^n matrix, qubit 0 most significant."""
+    return np.kron(np.kron(np.eye(2**first), m), np.eye(2 ** (n - first - len(m).bit_length() + 1)))
+
+
+def _plain_dense_law(circ: NoisyCircuit) -> np.ndarray:
+    """Outcome law by 2^n x 2^n matrices: each layer as the product of its
+    embedded gates (adjacent ascending targets only), each noise layer as the
+    Kraus sum (1 - 3 lam/4) rho + (lam/4) sum_P P_q rho P_q on every qubit q."""
+    n, lam = circ.n_qubits, circ.noise.value
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    for op in circ.schedule():
+        if op is None:
+            for q in range(n):
+                paulis = [_embedded(qsim.PAULI_MATRICES[p], q, n) for p in "XYZ"]
+                rho = (1 - 0.75 * lam) * rho + (lam / 4) * sum(p @ rho @ p for p in paulis)
+        else:
+            for g in op.gates:
+                assert list(g.targets) == list(range(g.targets[0], g.targets[0] + len(g.targets)))
+                u = _embedded(g.matrix, g.targets[0], n)
+                rho = u @ rho @ u.conj().T
+    return np.diag(rho).real
+
+
+class TestFactorWalk:
+    @staticmethod
+    def halves_circuit(rng, lam: float) -> NoisyCircuit:
+        """Six qubits whose gates never join {0, 1, 2} with {3, 4, 5}; single-qubit
+        gates on 2 and 3 come in turn, as a fused block would take them."""
+        u = lambda k: qsim.haar_unitary(2**k, rng)
+        return NoisyCircuit(
+            6,
+            (
+                layer(Gate(u(1), (2,)), Gate(u(1), (3,)), Gate(u(2), (0, 1)), Gate(u(2), (4, 5))),
+                layer(Gate(u(2), (1, 2)), Gate(u(2), (3, 4)), Gate(u(1), (0,)), Gate(u(1), (5,))),
+                layer(Gate(u(1), (2,)), Gate(u(1), (3,)), Gate(u(2), (0, 1)), Gate(u(2), (4, 5))),
+            ),
+            lam,
+        )
+
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    def test_factors_never_cross_unjoined_groups(self, lam, rng):
+        circ = self.halves_circuit(rng, lam)
+        groups = [set(qubits) for _, factors in qsim._walk_density(circ) for _, qubits in factors]
+        assert max(len(g) for g in groups) == 3
+        assert all(g <= {0, 1, 2} or g <= {3, 4, 5} for g in groups)
+        law = exact_output_distribution(circ).as_array()
+        np.testing.assert_allclose(law, qsim.evolve_density(circ).outcome_distribution().as_array(), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(law, _plain_dense_law(circ), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    def test_oracle_call_joins_every_factor(self, lam, rng):
+        binding = lift_to_unitary(make_bv("11"))
+        steps = self.halves_circuit(rng, lam).steps
+        circ = NoisyCircuit(6, (*steps[:2], OracleCall("F", (2, 3, 5)), steps[2]), lam)
+        walk = [(op, [qubits for _, qubits in factors]) for op, factors in qsim._walk_density(circ, {"F": binding})]
+        call = next(i for i, (op, _) in enumerate(walk) if isinstance(op, OracleCall))
+        assert all(max(len(q) for q in groups) <= 3 for _, groups in walk[:call])
+        assert all(len(groups) == 1 and sorted(groups[0]) == list(range(6)) for _, groups in walk[call:])
+        counter = binding.oracle.query_counter
+        before = counter.value
+        law = exact_output_distribution(circ, {"F": binding}).as_array()
+        assert counter.value - before == 1
+        reference = dense_density_reference(circ, {"F": binding})
+        np.testing.assert_allclose(law, np.diag(reference).real, rtol=0, atol=1e-12)
 
 
 class TestTrajectories:

@@ -144,7 +144,8 @@ def test_every_definition_is_referenced():
 
 
 PAULI_BASIS = {
-    "_to_pauli", "_from_pauli", "_readout", "_walk_density", "_on_every_axis", "_product_table", "_transfer_blocks"
+    "_to_pauli", "_from_pauli", "_readout", "_walk_density", "_on_every_axis", "_product_table", "_transfers",
+    "_transfer_blocks", "_layer_on_factors", "_join", "_in_qubit_order",
 }
 
 
