@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import bits_to_int, int_to_bits, parity, str_to_arr
+from .bits import bits_to_int, int_to_bits, parity, str_to_arr, strs_to_arr
 from .errors import CapacityError, InvariantViolation, UsageError
 from .metrics import trace_norm, tv_distance
 from .oracles import (
@@ -488,11 +488,12 @@ def generate_noisy_parity(
     steps = [h_in, OracleCall("O", wires)] + ([] if labelled else [h_in])
     circuit = NoisyCircuit(len(wires), steps, noise)
     counts = sample_outcomes(circuit, {"O": lift_to_unitary(oracle)}, seed=seed, shots=samples, threads=threads)
-    pairs = [(word[:n], int(word[n]) if labelled else 0) for word, c in counts.items() for _ in range(c)]
+    weighted = [((word[:n], int(word[n]) if labelled else 0), c) for word, c in counts.items()]
+    pairs = [pair for pair, c in weighted for _ in range(c)]
     eta = None
     if true_s is not None:
         s_int = bits_to_int(true_s)
-        bad = sum(1 for x, y in pairs if parity(bits_to_int(x) & s_int) != y)
+        bad = sum(c for (x, y), c in weighted if parity(bits_to_int(x) & s_int) != y)
         eta = bad / len(pairs)
     return NoisyParityInstance(n, tuple(pairs), k or n, n if w_max is None else w_max, eta)
 
@@ -509,7 +510,7 @@ def solve_noisy_parity_bruteforce(inst: NoisyParityInstance) -> str | None:
     total = sum(math.comb(k, w) for w in range(w_max + 1))
     if total > PARITY_CANDIDATE_CAP:
         raise CapacityError(f"{total} candidates exceed {PARITY_CANDIDATE_CAP}")
-    xs = np.array([[ord(c) - 48 for c in x] for x, _ in inst.samples], dtype=np.uint8)
+    xs = strs_to_arr([x for x, _ in inst.samples])
     ys = np.array([y for _, y in inst.samples], dtype=np.uint8)
     drop_zero = not ys.any()
     scored: list[tuple[int, int]] = []  # (agreement, candidate int)

@@ -12,6 +12,13 @@ def int_to_bits(x: int, width: int) -> str:
     return format(x, f"0{width}b")
 
 
+def ints_to_bits(xs: np.ndarray, width: int) -> list[str]:
+    """Array form of int_to_bits, for 0 <= x < 2^width."""
+    chars = ((np.asarray(xs, dtype=np.int64)[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+    text = (chars + ord("0")).tobytes().decode()
+    return [text[i * width : (i + 1) * width] for i in range(len(chars))]
+
+
 def bits_to_int(s: str) -> int:
     return int(s, 2) if s else 0
 
@@ -23,6 +30,11 @@ def parity(x: int) -> int:
 def str_to_arr(s: str) -> np.ndarray:
     """'0101' -> uint8 array [0,1,0,1]."""
     return np.frombuffer(s.encode(), dtype=np.uint8) - ord("0")
+
+
+def strs_to_arr(strings: list[str]) -> np.ndarray:
+    """Array form of str_to_arr: strings of one length -> uint8 matrix, a row each."""
+    return str_to_arr("".join(strings)).reshape(len(strings), len(strings[0]) if strings else 0)
 
 
 def arr_to_str(a: np.ndarray) -> str:

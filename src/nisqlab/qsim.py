@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import bits_to_int, extract_field, int_to_bits, spread_field
+from .bits import bits_to_int, extract_field, int_to_bits, ints_to_bits, spread_field
 from .errors import CapacityError, UsageError
 from .seeding import rng_for
 
@@ -47,7 +47,8 @@ _CHUNK_AMPLITUDES = 2**21
 # `sampling`, with the smallest footprint of those (BENCH_row_tiles.json)
 _TILE_AMPLITUDES = 2**16
 # row block in which a chunk's uniforms become Pauli kinds and its sort keys
-# are packed: a pass over a block stays in cache
+# are packed: a pass over a block stays in cache.  Also the fewest rows a
+# sampling walk holds where there are that many: smaller chunks share walks
 _EVENT_ROWS = 4096
 _CHUNK_STREAM_TAG = 0x6368756E
 # widest fused gate block, in qubits: fastest of 3..6 on `sampling` (BENCH_gate_fusion.json)
@@ -429,7 +430,8 @@ class OutcomeDistribution:
     def from_array(cls, n_bits: int, probs: np.ndarray) -> "OutcomeDistribution":
         # entries below 1e-14 are float dust from the backends; drop them
         probs = np.asarray(probs, dtype=float)
-        return cls(n_bits, {int_to_bits(i, n_bits): float(p) for i, p in enumerate(probs) if p > 1e-14})
+        kept = np.flatnonzero(probs > 1e-14)
+        return cls(n_bits, dict(zip(ints_to_bits(kept, n_bits), probs[kept].tolist())))
 
     @classmethod
     def from_counts(cls, n_bits: int, counts: dict[str, int]) -> "OutcomeDistribution":
@@ -922,34 +924,22 @@ def _walk_tile(ops, oracle_bindings, n: int, kinds: np.ndarray, col: int, prod: 
     return tensor, order, np.cumsum(head) - 1
 
 
-def _sample_chunk(
-    circuit: NoisyCircuit,
-    oracle_bindings,
-    seed: int,
-    stream_key: int,
-    chunk_index: int,
-    start: int,
-    stop: int,
-) -> np.ndarray:
-    """Simulate rows [start, stop) of one chunk; returns outcome integers.
+def _chunk_draws(
+    circuit: NoisyCircuit, seed: int, chunk_index: int, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of rows [start, stop) of one chunk: their Pauli kinds
+    (`_pauli_events`) and measurement draws.
 
     All randomness of a chunk is one flat row-major draw, so a row consumes
-    the same stream values whichever rows are simulated with it: the stream
+    the same stream values whichever rows are drawn with it: the stream
     is advanced straight to row `start` (PCG64 spends one step per double).
     Column 0 of a row's draws is its measurement draw; the rest become its
     Pauli kinds, taken a block of rows at a time so the pass stays in cache.
-
-    Measurement commutes with monomial ops, so rows are measured where the
-    monomial tail starts and the outcomes pushed through the tail; its noise
-    flips a bit on X or Y.
     """
-    n = circuit.n_qubits
     lam = circuit.noise.value
-    schedule = circuit.schedule()
-    cut, tail = _monomial_tail(schedule, oracle_bindings, n)
     batch = stop - start
-    rng = rng_for(seed, stream_key, _CHUNK_STREAM_TAG, chunk_index)
-    width = schedule.count(None) * n + 1 if lam > 0.0 else 1
+    rng = rng_for(seed, circuit_fingerprint(circuit), _CHUNK_STREAM_TAG, chunk_index)
+    width = circuit.noise_layer_count() * circuit.n_qubits + 1 if lam > 0.0 else 1
     rng.bit_generator.advance(start * width)
     kinds, u0 = np.empty((batch, width - 1), dtype=np.uint8), np.empty(batch)
     for s in range(0, batch, _EVENT_ROWS):
@@ -957,7 +947,21 @@ def _sample_chunk(
         u0[s : s + len(u)] = u[:, 0]
         if lam > 0.0:
             kinds[s : s + len(u)] = _pauli_events(lam, u[:, 1:])
-    outcomes = np.empty(batch, dtype=np.int64)
+    return kinds, u0
+
+
+def _walk_draws(circuit: NoisyCircuit, oracle_bindings, kinds: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """Simulate one row per draw (`_chunk_draws`); returns outcome integers.
+    A row's outcome depends on its own draws alone, whichever rows share a walk.
+
+    Measurement commutes with monomial ops, so rows are measured where the
+    monomial tail starts and the outcomes pushed through the tail; its noise
+    flips a bit on X or Y.
+    """
+    n = circuit.n_qubits
+    schedule = circuit.schedule()
+    cut, tail = _monomial_tail(schedule, oracle_bindings, n)
+    outcomes = np.empty(len(u0), dtype=np.int64)
     for rows, prod, tensor, order, run in _walk_rows(schedule[:cut], oracle_bindings, n, kinds):
         if prod is not None:
             outcomes[rows] = _draw_product(prod, u0)
@@ -976,10 +980,15 @@ def _sample_chunk(
     for op in tail:
         if op is not None:
             outcomes = op(outcomes)
-        elif lam > 0.0:
+        elif kinds.shape[1]:
             outcomes = outcomes ^ ((kinds[:, col : col + n] < 2) @ bit_values)
             col += n
     return outcomes
+
+
+def _sample_chunk(circuit: NoisyCircuit, oracle_bindings, seed: int, chunk_index: int, start: int, stop: int):
+    """Simulate rows [start, stop) of one chunk; returns outcome integers."""
+    return _walk_draws(circuit, oracle_bindings, *_chunk_draws(circuit, seed, chunk_index, start, stop))
 
 
 def sample_outcomes(
@@ -991,31 +1000,39 @@ def sample_outcomes(
 ) -> dict[str, int]:
     """Draw many trajectory outcomes; returns counts per outcome string.
 
-    Trajectories are simulated in fixed-size chunks with one RNG stream per
+    Trajectories are drawn in fixed-size chunks with one RNG stream per
     chunk, so counts depend only on (circuit, seed, shots), not on threads.
+    Consecutive whole chunks share one walk of at least 4,096 rows where
+    there are that many, and threads take walks, not chunks.
     """
     n = circuit.n_qubits
     chunk = _chunk_rows(n)
     if shots < 1:
         raise UsageError("shots must be positive")
-    stream_key = circuit_fingerprint(circuit)
-    sizes = [min(chunk, shots - start) for start in range(0, shots, chunk)]
+    if threads < 1:
+        raise UsageError("threads must be positive")
+    chunks, per_walk = -(-shots // chunk), -(-_EVENT_ROWS // chunk)
 
-    def run(ci: int) -> np.ndarray:
-        return _sample_chunk(circuit, oracle_bindings, seed, stream_key, ci, 0, sizes[ci])
+    def run(first: int) -> np.ndarray:
+        last = min(first + per_walk, chunks)
+        draws = [_chunk_draws(circuit, seed, ci, 0, min(chunk, shots - ci * chunk)) for ci in range(first, last)]
+        # one chunk's draws are walked uncopied: at n <= 9 every walk holds one
+        kinds, u0 = draws[0] if len(draws) == 1 else map(np.concatenate, zip(*draws))
+        return _walk_draws(circuit, oracle_bindings, kinds, u0)
 
-    if threads > 1 and len(sizes) > 1:
+    walks = range(0, chunks, per_walk)
+    if threads > 1 and len(walks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, range(len(sizes))))
+            parts = list(pool.map(run, walks))
     else:
-        parts = [run(ci) for ci in range(len(sizes))]
+        parts = [run(first) for first in walks]
     return _counts(np.concatenate(parts), n)
 
 
 def _counts(outcomes: np.ndarray, n: int) -> dict[str, int]:
     """Counts of integer outcomes as n-bit strings, in increasing outcome order."""
     values, reps = np.unique(outcomes, return_counts=True)
-    return {int_to_bits(int(v), n): int(r) for v, r in zip(values, reps)}
+    return dict(zip(ints_to_bits(values, n), reps.tolist()))
 
 
 def sample_stream(circuit: NoisyCircuit, oracle_bindings=None, seed: int = 0):
@@ -1027,13 +1044,11 @@ def sample_stream(circuit: NoisyCircuit, oracle_bindings=None, seed: int = 0):
     """
     n = circuit.n_qubits
     chunk = _chunk_rows(n)
-    stream_key = circuit_fingerprint(circuit)
     for ci in itertools.count():
         start = 0
         while start < chunk:
             stop = min(chunk, max(64, 2 * start))
-            for v in _sample_chunk(circuit, oracle_bindings, seed, stream_key, ci, start, stop):
-                yield int_to_bits(int(v), n)
+            yield from ints_to_bits(_sample_chunk(circuit, oracle_bindings, seed, ci, start, stop), n)
             start = stop
 
 
@@ -1048,7 +1063,7 @@ def sample_trajectory(
     """
     n = circuit.n_qubits
     ci, row = divmod(int(index), _chunk_rows(n))
-    vals = _sample_chunk(circuit, oracle_bindings, seed, circuit_fingerprint(circuit), ci, row, row + 1)
+    vals = _sample_chunk(circuit, oracle_bindings, seed, ci, row, row + 1)
     return int_to_bits(int(vals[0]), n)
 
 

@@ -45,6 +45,7 @@ class Mutant:
 GOLDEN_SAMPLING = "tests/test_golden.py::test_sampling_counts_and_stream"
 DIFFERENTIAL_EXACT = "tests/test_differential.py::test_exact_backend_matches_dense_reference"
 FACTOR_WALK = "tests/test_qsim.py::TestFactorWalk::test_factors_never_cross_unjoined_groups"
+WALK_GROUPS = "tests/test_qsim.py::TestWalkGroups::test_walks_of_chunks_draw_the_per_chunk_outcomes"
 
 MUTANTS = (
     Mutant(
@@ -110,6 +111,13 @@ MUTANTS = (
         "out = c * table(min(c.ndim, 5))",
         "out = c * table(min(factors[0][0].ndim, 5))",
         (FACTOR_WALK, DIFFERENTIAL_EXACT),
+    ),
+    Mutant(
+        "walk-chunks-first-stream",
+        "qsim.py",
+        "_chunk_draws(circuit, seed, ci, 0, min(chunk, shots - ci * chunk))",
+        "_chunk_draws(circuit, seed, first, 0, min(chunk, shots - ci * chunk))",
+        (WALK_GROUPS, "tests/test_golden.py::test_sampling_counts_and_stream[parity-n12]"),
     ),
     Mutant(
         "code-table-digits-reversed",

@@ -4,7 +4,8 @@ Circuits mix Haar and named 1- and 2-qubit gates with oracle calls bound to
 a lifted BV function, a lifted random permutation, a Grover phase and (for
 the exact backend) a state oracle, at noise rates that include 0, the
 smallest subnormal and 1.  The exact backend is held against a plain
-dense-matrix reference; the trajectory backend's batches, which simulate
+dense-matrix reference, and at lam = 0 the statevector backend's law
+against the exact one; the trajectory backend's batches, which simulate
 each distinct noise history once, against its single-row draws.
 """
 
@@ -125,6 +126,16 @@ def test_exact_backend_matches_dense_reference(case):
     np.testing.assert_allclose(dist.as_array(), np.diag(ref).real, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(circuits(states=False).map(lambda case: (NoisyCircuit(case[0].n_qubits, case[0].steps, 0.0), *case[1:])))
+def test_noiseless_statevector_law_matches_exact_backend(case):
+    circuit, bindings, calls = case
+    state_queries, psi = _queries(bindings, lambda: qsim.evolve_statevector(circuit, bindings))
+    exact_queries, dist = _queries(bindings, lambda: qsim.exact_output_distribution(circuit, bindings))
+    assert state_queries == exact_queries == calls
+    np.testing.assert_allclose(np.abs(psi.amplitudes) ** 2, dist.as_array(), rtol=0, atol=1e-12)
+
+
 STREAM_PREFIX = 100
 SHOTS = 300
 
@@ -147,10 +158,12 @@ def test_trajectory_batches_match_single_rows(case, seed):
     assert stream_queries == {k: 128 * c for k, c in calls.items()}  # rows [0, 64) then [64, 128)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qsim, "_CHUNK_AMPLITUDES", 128 << n)  # three chunks for the threads to share
-        queries, counts = _queries(bindings, lambda: sample(circuit))
+        mp.setattr(qsim, "_CHUNK_AMPLITUDES", 128 << n)  # chunks of 128, 128 and 44 rows
+        queries, counts = _queries(bindings, lambda: sample(circuit))  # one walk holds all three
         assert queries == {k: SHOTS * c for k, c in calls.items()}
-        assert sample(circuit, threads=2) == counts
+        for floor in (256, 128):  # walks of chunks {0, 1} and {2}, then a walk per chunk, for the threads
+            mp.setattr(qsim, "_EVENT_ROWS", floor)
+            assert sample(circuit, threads=2) == counts
         back = circuit_from_json(circuit_to_json(circuit))
         assert qsim.circuit_fingerprint(back) == qsim.circuit_fingerprint(circuit)
         assert sample(back) == counts

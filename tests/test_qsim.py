@@ -608,6 +608,12 @@ class TestTrajectories:
         with pytest.raises(UsageError, match="nonnegative"):
             sample_outcomes(circ, seed=-1, shots=2)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one_is_usage_error(self, threads):
+        circ = NoisyCircuit(1, (layer(H(0)),), 0.5)
+        with pytest.raises(UsageError, match="threads must be positive"):
+            sample_outcomes(circ, seed=0, shots=2, threads=threads)
+
     def test_wide_noiseless_circuit_runs(self):
         circ = NoisyCircuit(16, (layer(X(0)),), 0.0)
         assert sample_trajectory(circ, seed=0) == "1" + "0" * 15
@@ -816,7 +822,7 @@ class TestFusedLayers:
         probs = np.abs(ref.reshape(rows, -1)) ** 2
         cum = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
         expected = np.minimum((cum <= u[:, :1]).sum(axis=1), 2**n - 1)
-        np.testing.assert_array_equal(qsim._sample_chunk(circ, None, 4, key, 0, 0, rows), expected)
+        np.testing.assert_array_equal(qsim._sample_chunk(circ, None, 4, 0, 0, rows), expected)
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_oracle_between_fused_layers_matches_exact(self, n):
@@ -922,6 +928,42 @@ class TestRowTiles:
         ranges = [(0, 64), (64, 128), (128, 256), (256, 512), (0, shots)]
         assert tiles == [k for r in ranges for k in densified(*r)]
         assert case != "noiseless" or set(tiles) == {1}
+
+
+def walk_group_cases() -> dict:
+    """name -> (circuit, bindings, oracle) past the chunk size of one walk:
+    the noisy-parity query circuit (a product phase, then a monomial tail) and
+    an entangling circuit with an oracle call in its dense phase."""
+    parity_oracle, dense_oracle = make_bv("101100110010"), make_bv("110100101")
+    rng = np.random.default_rng([10, 0x57])
+    dense = [qsim.random_layer(10, rng, 1.0), OracleCall("O", tuple(range(10))), qsim.random_layer(10, rng, 1.0)]
+    return {
+        "parity-n13": (
+            NoisyCircuit(13, [layer(*[H(i) for i in range(12)]), OracleCall("O", tuple(range(13)))], 0.1),
+            {"O": lift_to_unitary(parity_oracle)},
+            parity_oracle,
+        ),
+        "entangling-n10": (NoisyCircuit(10, dense, 0.05), {"O": lift_to_unitary(dense_oracle)}, dense_oracle),
+    }
+
+
+class TestWalkGroups:
+    @pytest.mark.parametrize("case", ["parity-n13", "entangling-n10"])
+    def test_walks_of_chunks_draw_the_per_chunk_outcomes(self, case):
+        circ, bindings, oracle = walk_group_cases()[case]
+        n, seed = circ.n_qubits, 3
+        chunk = qsim._chunk_rows(n)
+        assert qsim._EVENT_ROWS // chunk >= 2  # a walk holds several chunks
+        # a full walk, then half a chunk
+        shots = qsim._EVENT_ROWS + chunk // 2
+        sizes = [min(chunk, shots - start) for start in range(0, shots, chunk)]
+        per_chunk = [qsim._sample_chunk(circ, bindings, seed, ci, 0, size) for ci, size in enumerate(sizes)]
+        before = oracle.query_counter.value
+        counts = sample_outcomes(circ, bindings, seed=seed, shots=shots)
+        assert oracle.query_counter.value - before == shots  # one call per trajectory
+        assert counts == qsim._counts(np.concatenate(per_chunk), n)
+        assert sample_outcomes(circ, bindings, seed=seed, shots=shots, threads=2) == counts
+        assert oracle.query_counter.value - before == 2 * shots
 
 
 class TestSerialization:
