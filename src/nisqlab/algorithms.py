@@ -493,8 +493,7 @@ def generate_noisy_parity(
     eta = None
     if true_s is not None:
         s_int = bits_to_int(true_s)
-        bad = sum(c for (x, y), c in weighted if parity(bits_to_int(x) & s_int) != y)
-        eta = bad / len(pairs)
+        eta = sum(c for (x, y), c in weighted if parity(bits_to_int(x) & s_int) != y) / len(pairs)
     return NoisyParityInstance(n, tuple(pairs), k or n, n if w_max is None else w_max, eta)
 
 

@@ -7,15 +7,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import UsageError
+
 
 def int_to_bits(x: int, width: int) -> str:
     return format(x, f"0{width}b")
 
 
 def ints_to_bits(xs: np.ndarray, width: int) -> list[str]:
-    """Array form of int_to_bits, for 0 <= x < 2^width."""
-    chars = ((np.asarray(xs, dtype=np.int64)[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
-    text = (chars + ord("0")).tobytes().decode()
+    """Array form of int_to_bits, for 0 <= x < 2^width, built a byte per character."""
+    xs, chars = np.asarray(xs, dtype=np.int64), np.empty((len(xs), width), dtype=np.uint8)
+    for j in range(width):
+        chars[:, j] = ((xs >> (width - 1 - j)) & 1) + ord("0")
+    text = chars.tobytes().decode("ascii")
     return [text[i * width : (i + 1) * width] for i in range(len(chars))]
 
 
@@ -34,6 +38,8 @@ def str_to_arr(s: str) -> np.ndarray:
 
 def strs_to_arr(strings: list[str]) -> np.ndarray:
     """Array form of str_to_arr: strings of one length -> uint8 matrix, a row each."""
+    if len(set(map(len, strings))) > 1:
+        raise UsageError("bit strings differ in length")
     return str_to_arr("".join(strings)).reshape(len(strings), len(strings[0]) if strings else 0)
 
 

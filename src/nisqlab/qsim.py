@@ -927,8 +927,7 @@ def _walk_tile(ops, oracle_bindings, n: int, kinds: np.ndarray, col: int, prod: 
 def _chunk_draws(
     circuit: NoisyCircuit, seed: int, chunk_index: int, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of rows [start, stop) of one chunk: their Pauli kinds
-    (`_pauli_events`) and measurement draws.
+    """The draws of rows [start, stop) of one chunk: Pauli kinds and measurement draws.
 
     All randomness of a chunk is one flat row-major draw, so a row consumes
     the same stream values whichever rows are drawn with it: the stream
@@ -936,8 +935,7 @@ def _chunk_draws(
     Column 0 of a row's draws is its measurement draw; the rest become its
     Pauli kinds, taken a block of rows at a time so the pass stays in cache.
     """
-    lam = circuit.noise.value
-    batch = stop - start
+    lam, batch = circuit.noise.value, stop - start
     rng = rng_for(seed, circuit_fingerprint(circuit), _CHUNK_STREAM_TAG, chunk_index)
     width = circuit.noise_layer_count() * circuit.n_qubits + 1 if lam > 0.0 else 1
     rng.bit_generator.advance(start * width)
@@ -1002,16 +1000,15 @@ def sample_outcomes(
 
     Trajectories are drawn in fixed-size chunks with one RNG stream per
     chunk, so counts depend only on (circuit, seed, shots), not on threads.
-    Consecutive whole chunks share one walk of at least 4,096 rows where
-    there are that many, and threads take walks, not chunks.
+    Consecutive whole chunks share walks of at least 4,096 rows, but a walk
+    takes at most a thread's share of the chunks; threads take walks.
     """
     n = circuit.n_qubits
     chunk = _chunk_rows(n)
-    if shots < 1:
-        raise UsageError("shots must be positive")
-    if threads < 1:
-        raise UsageError("threads must be positive")
-    chunks, per_walk = -(-shots // chunk), -(-_EVENT_ROWS // chunk)
+    if shots < 1 or threads < 1:
+        raise UsageError(f"shots and threads must be positive, got {shots} and {threads}")
+    chunks = -(-shots // chunk)
+    per_walk = min(-(-_EVENT_ROWS // chunk), -(-chunks // threads))
 
     def run(first: int) -> np.ndarray:
         last = min(first + per_walk, chunks)

@@ -1,10 +1,12 @@
 """Bit-string conversions: the array forms against the scalar rules."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nisqlab.bits import int_to_bits, ints_to_bits, str_to_arr, strs_to_arr
+from nisqlab.errors import UsageError
 
 
 @st.composite
@@ -30,3 +32,9 @@ def test_array_forms_match_the_scalar_rules(case):
 def test_array_forms_of_nothing():
     assert ints_to_bits(np.array([], dtype=np.int64), 5) == []
     assert strs_to_arr([]).shape == (0, 0)
+
+
+@pytest.mark.parametrize("strings", [["00", "0", "000"], ["0101", "01"], ["1", ""]])
+def test_strings_of_unequal_length_are_usage_error(strings):
+    with pytest.raises(UsageError, match="differ in length"):
+        strs_to_arr(strings)

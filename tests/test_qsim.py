@@ -608,11 +608,11 @@ class TestTrajectories:
         with pytest.raises(UsageError, match="nonnegative"):
             sample_outcomes(circ, seed=-1, shots=2)
 
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_thread_count_below_one_is_usage_error(self, threads):
+    @pytest.mark.parametrize("shots, threads", [(2, 0), (2, -3), (0, 1)])
+    def test_shot_or_thread_count_below_one_is_usage_error(self, shots, threads):
         circ = NoisyCircuit(1, (layer(H(0)),), 0.5)
-        with pytest.raises(UsageError, match="threads must be positive"):
-            sample_outcomes(circ, seed=0, shots=2, threads=threads)
+        with pytest.raises(UsageError, match="shots and threads must be positive"):
+            sample_outcomes(circ, seed=0, shots=shots, threads=threads)
 
     def test_wide_noiseless_circuit_runs(self):
         circ = NoisyCircuit(16, (layer(X(0)),), 0.0)
@@ -964,6 +964,17 @@ class TestWalkGroups:
         assert counts == qsim._counts(np.concatenate(per_chunk), n)
         assert sample_outcomes(circ, bindings, seed=seed, shots=shots, threads=2) == counts
         assert oracle.query_counter.value - before == 2 * shots
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_threads_get_no_fewer_walks_than_threads(self, threads, monkeypatch):
+        circ, bindings, _ = walk_group_cases()["parity-n13"]
+        chunk, shots = qsim._chunk_rows(13), 2000  # noisy-parity's default: 8 chunks, one walk of them all
+        counts = sample_outcomes(circ, bindings, seed=3, shots=shots)
+        rows, walk = [], qsim._walk_draws
+        monkeypatch.setattr(qsim, "_walk_draws", lambda c, b, kinds, u0: rows.append(len(u0)) or walk(c, b, kinds, u0))
+        assert sample_outcomes(circ, bindings, seed=3, shots=shots, threads=threads) == counts
+        assert len(rows) == threads and sum(rows) == shots
+        assert all(r % chunk == 0 for r in sorted(rows)[1:])  # whole chunks; the last walk may end early
 
 
 class TestSerialization:
