@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import bits_to_int, int_to_bits, parity, str_to_arr, strs_to_arr
+from .bits import bits_to_int, int_to_bits, str_to_arr, strs_to_arr
 from .errors import CapacityError, InvariantViolation, UsageError
 from .metrics import trace_norm, tv_distance
 from .oracles import (
@@ -59,6 +59,7 @@ BV_AUTO_NOISE_CAP = 1.0 - 2.0 ** (-1.0 / 6.0)
 BV_GUARANTEE_CAP = 1.0 / 24.0
 BV_FAST_QUBIT_MIN = 15  # above this the trajectory backend gets slow
 PARITY_CANDIDATE_CAP = 10**6
+_SCORE_CELLS = 2**20  # sample-candidate cells a scoring pass holds at once
 SHADOW_EXACT_CAP = 8
 
 _HX = np.array([[1, 1], [-1, 1]], dtype=np.complex128) / math.sqrt(2)  # |0> -> |->
@@ -442,22 +443,30 @@ def lifted_simon_tv(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisyParityInstance:
-    """Samples (x, y) hiding a parity secret; eta is the calibrated label
+    """Samples (x, y) hiding a parity secret: xs holds each x as an n-bit
+    int64 word (MSB-first), ys its uint8 label.  eta is the calibrated label
     flip rate when the generator knew the true secret."""
 
     n: int
-    samples: tuple[tuple[str, int], ...]
+    xs: np.ndarray
+    ys: np.ndarray
     k: int
     w_max: int
     eta: float | None = None
 
     def __post_init__(self) -> None:
-        if not (1 <= self.k <= self.n) or not (0 <= self.w_max <= self.k):
-            raise UsageError("need 1 <= k <= n and 0 <= w_max <= k")
+        if not (1 <= self.k <= self.n <= 63) or not (0 <= self.w_max <= self.k):
+            raise UsageError("need 1 <= k <= n <= 63 and 0 <= w_max <= k")
         if self.eta is not None and not (0.0 <= self.eta <= 1.0):
             raise UsageError(f"eta {self.eta} outside [0, 1]")
+        xs, ys = np.asarray(self.xs, dtype=np.int64), np.asarray(self.ys)
+        # xs >> n is nonzero for x >= 2^n, and -1 for x < 0
+        if xs.ndim != 1 or xs.shape != ys.shape or (xs >> self.n).any() or not np.isin(ys, (0, 1)).all():
+            raise UsageError(f"need one label in {{0, 1}} per sample x in [0, 2^{self.n})")
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys.astype(np.uint8))
 
 
 def generate_noisy_parity(
@@ -488,41 +497,37 @@ def generate_noisy_parity(
     steps = [h_in, OracleCall("O", wires)] + ([] if labelled else [h_in])
     circuit = NoisyCircuit(len(wires), steps, noise)
     counts = sample_outcomes(circuit, {"O": lift_to_unitary(oracle)}, seed=seed, shots=samples, threads=threads)
-    weighted = [((word[:n], int(word[n]) if labelled else 0), c) for word, c in counts.items()]
-    pairs = [pair for pair, c in weighted for _ in range(c)]
+    words = strs_to_arr(list(counts)) @ (1 << np.arange(len(wires) - 1, -1, -1))
+    words = np.repeat(words, list(counts.values()))
+    xs, ys = words >> oracle.m_out, (words & 1 if labelled else np.zeros_like(words))
     eta = None
     if true_s is not None:
-        s_int = bits_to_int(true_s)
-        eta = sum(c for (x, y), c in weighted if parity(bits_to_int(x) & s_int) != y) / len(pairs)
-    return NoisyParityInstance(n, tuple(pairs), k or n, n if w_max is None else w_max, eta)
+        eta = int(np.count_nonzero(np.bitwise_count(xs & bits_to_int(true_s)) & 1 != ys)) / len(xs)
+    return NoisyParityInstance(n, xs, ys, n if k is None else k, n if w_max is None else w_max, eta)
 
 
 def solve_noisy_parity_bruteforce(inst: NoisyParityInstance) -> str | None:
-    """Best-agreement candidate with support in the first k bits and weight
-    <= w_max; None when the top two scores are closer than 3 sqrt(samples).
+    """Best-agreement candidate with support in the first k bits and weight <= w_max;
+    None without samples or when the top two scores are closer than 3 sqrt(samples).
 
     The zero candidate is dropped when every label is zero: it then scores
     perfectly regardless of the data, and both sample conventions promise a
     nonzero secret in that regime.
     """
-    k, w_max = inst.k, inst.w_max
+    n, k, w_max, xs, ys = inst.n, inst.k, inst.w_max, inst.xs, inst.ys
     total = sum(math.comb(k, w) for w in range(w_max + 1))
     if total > PARITY_CANDIDATE_CAP:
         raise CapacityError(f"{total} candidates exceed {PARITY_CANDIDATE_CAP}")
-    xs = strs_to_arr([x for x, _ in inst.samples])
-    ys = np.array([y for _, y in inst.samples], dtype=np.uint8)
-    drop_zero = not ys.any()
-    scored: list[tuple[int, int]] = []  # (agreement, candidate int)
-    for w in range(w_max + 1):
-        for pos in itertools.combinations(range(k), w):
-            if w == 0 and drop_zero:
-                continue
-            par = xs[:, list(pos)].sum(axis=1) % 2 if pos else np.zeros(len(ys), dtype=np.uint8)
-            cand = sum(1 << (inst.n - 1 - p) for p in pos)
-            scored.append((int((par == ys).sum()), cand))
-    if not scored:
+    supports = (pos for w in range(int(not ys.any()), w_max + 1) for pos in itertools.combinations(range(k), w))
+    masks = np.fromiter((sum(1 << (n - 1 - p) for p in pos) for pos in supports), dtype=np.int64)
+    if not len(masks) or not len(ys):
         return None
-    scored.sort(reverse=True)
-    if len(scored) > 1 and scored[0][0] - scored[1][0] < 3.0 * math.sqrt(len(ys)):
+    step = max(1, _SCORE_CELLS // len(ys))  # candidates scored at once: bounded memory
+    agree = np.concatenate([
+        (np.bitwise_count(xs[:, None] & masks[s : s + step]) & 1 == ys[:, None]).sum(axis=0)
+        for s in range(0, len(masks), step)
+    ])
+    best = np.lexsort((masks, agree))[-1]  # rank by (agreement, candidate), highest first
+    if len(masks) > 1 and agree[best] - np.partition(agree, -2)[-2] < 3.0 * math.sqrt(len(ys)):
         return None
-    return int_to_bits(scored[0][1], inst.n)
+    return int_to_bits(int(masks[best]), n)

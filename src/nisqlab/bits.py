@@ -27,10 +27,6 @@ def bits_to_int(s: str) -> int:
     return int(s, 2) if s else 0
 
 
-def parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
 def str_to_arr(s: str) -> np.ndarray:
     """'0101' -> uint8 array [0,1,0,1]."""
     return np.frombuffer(s.encode(), dtype=np.uint8) - ord("0")

@@ -60,6 +60,7 @@ class ClassicalOracle:
         if self.n_in < 1 or self.m_out < 1:
             raise UsageError("oracle arities must be positive")
         self._table: np.ndarray | None = None
+        self._binding: XorOracleBinding | None = None
 
     def _raw_eval(self, x: int) -> int:
         y = int(self.fn(int(x)))
@@ -172,8 +173,11 @@ class XorOracleBinding(PermutationBinding):
 
 
 def lift_to_unitary(oracle: ClassicalOracle) -> XorOracleBinding:
-    """Circuit-applicable form of the XOR lifting of a classical oracle."""
-    return XorOracleBinding(oracle)
+    """Circuit-applicable form of the XOR lifting of a classical oracle: one
+    binding per oracle, so its lifted permutation tables are built once."""
+    if oracle._binding is None:
+        oracle._binding = XorOracleBinding(oracle)
+    return oracle._binding
 
 
 # ---------------------------------------------------------------------------

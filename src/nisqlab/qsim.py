@@ -587,7 +587,8 @@ def _layer_on_basis(outcomes: np.ndarray, maps: list, n: int) -> np.ndarray:
 def _draw_product(prod: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Outcome indices of product states: the cumulative search's choice,
     made qubit by qubit (most significant first) by rescaling the draw."""
-    p0 = np.abs(prod[:, :, 0]) ** 2 / (np.abs(prod) ** 2).sum(axis=2)
+    sq = np.abs(prod) ** 2
+    p0 = sq[:, :, 0] / sq.sum(axis=2)
     r, out = u, np.zeros(len(prod), dtype=np.int64)
     for p in p0.T:
         # a 1 needs p < 1 and a 0 needs r < p or p = 1: no denominator is 0
@@ -854,7 +855,7 @@ def _walk_rows(ops, oracle_bindings, n: int, kinds: np.ndarray):
             if kinds.shape[1]:
                 _pauli_noise(lambda q: prod[:, q, None, :, None], n, kinds[:, col : col + n])
                 col += n
-        elif isinstance(op, GateLayer) and all(len(g.targets) == 1 for g in op.gates):
+        elif not _entangles(op):
             for g in op.gates:
                 q = g.targets[0]
                 prod[:, q, :] = prod[:, q, :] @ g.matrix.T
@@ -869,6 +870,11 @@ def _walk_rows(ops, oracle_bindings, n: int, kinds: np.ndarray):
                 yield rows, None, *_walk_tile(ops[i:], oracle_bindings, n, walk[rows], col, prod[rows])
             return
     yield slice(None), prod, None, list(range(n)), None
+
+
+def _entangles(op) -> bool:
+    """Whether a schedule op ends a walk's product phase: an oracle call or a 2-qubit gate layer."""
+    return op is not None and not (isinstance(op, GateLayer) and all(len(g.targets) == 1 for g in op.gates))
 
 
 def _history_order(kinds: np.ndarray) -> np.ndarray:
@@ -1001,7 +1007,9 @@ def sample_outcomes(
     Trajectories are drawn in fixed-size chunks with one RNG stream per
     chunk, so counts depend only on (circuit, seed, shots), not on threads.
     Consecutive whole chunks share walks of at least 4,096 rows, but a walk
-    takes at most a thread's share of the chunks; threads take walks.
+    takes at most a thread's share of the chunks.  Threads take walks that
+    reach the dense phase; walks of product states are too short to gain from
+    a thread of their own and run in the calling thread.
     """
     n = circuit.n_qubits
     chunk = _chunk_rows(n)
@@ -1018,7 +1026,9 @@ def sample_outcomes(
         return _walk_draws(circuit, oracle_bindings, kinds, u0)
 
     walks = range(0, chunks, per_walk)
-    if threads > 1 and len(walks) > 1:
+    schedule = circuit.schedule()
+    dense = threads > 1 and any(map(_entangles, schedule[: _monomial_tail(schedule, oracle_bindings, n)[0]]))
+    if dense and len(walks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run, walks))
     else:

@@ -46,6 +46,7 @@ GOLDEN_SAMPLING = "tests/test_golden.py::test_sampling_counts_and_stream"
 DIFFERENTIAL_EXACT = "tests/test_differential.py::test_exact_backend_matches_dense_reference"
 FACTOR_WALK = "tests/test_qsim.py::TestFactorWalk::test_factors_never_cross_unjoined_groups"
 WALK_GROUPS = "tests/test_qsim.py::TestWalkGroups::test_walks_of_chunks_draw_the_per_chunk_outcomes"
+PARITY_REFERENCE = "tests/test_algorithms.py::TestParitySolver::test_matches_the_per_candidate_loop"
 
 MUTANTS = (
     Mutant(
@@ -118,6 +119,25 @@ MUTANTS = (
         "_chunk_draws(circuit, seed, ci, 0, min(chunk, shots - ci * chunk))",
         "_chunk_draws(circuit, seed, first, 0, min(chunk, shots - ci * chunk))",
         (WALK_GROUPS, "tests/test_golden.py::test_sampling_counts_and_stream[parity-n12]"),
+    ),
+    Mutant(
+        "parity-tie-smaller-candidate",
+        "algorithms.py",
+        "best = np.lexsort((masks, agree))[-1]",
+        "best = np.lexsort((-masks, agree))[-1]",
+        # a tie at the top is a zero gap, below 3 sqrt(m) for every m > 0, so the answer is None either way
+        (PARITY_REFERENCE, "tests/test_algorithms.py::TestParitySolver::test_contradictory_data_fails"),
+        equivalent=True,
+    ),
+    Mutant(
+        "simon-x-shift-one",
+        "algorithms.py",
+        "xs, ys = words >> oracle.m_out,",
+        "xs, ys = words >> 1,",
+        (
+            "tests/test_algorithms.py::TestNoisyParityGeneration::test_noiseless_simon_samples",
+            "tests/test_algorithms.py::TestNoisyParityGeneration::test_samples_expand_the_sampler_counts[simon]",
+        ),
     ),
     Mutant(
         "code-table-digits-reversed",

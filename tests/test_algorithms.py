@@ -1,6 +1,8 @@
 """Algorithm-level behavior: BV majority voting, Grover, Zalka sums,
 Pauli distinguishing, lifted-Simon damping, noisy parity."""
 
+import collections
+import itertools
 import math
 
 import numpy as np
@@ -29,7 +31,8 @@ from nisqlab.algorithms import (
     shadow_distinguish,
     solve_noisy_parity_bruteforce,
 )
-from nisqlab.bits import bits_to_int, parity, str_to_arr
+from nisqlab import algorithms
+from nisqlab.bits import bits_to_int, str_to_arr
 from nisqlab.errors import CapacityError, InvariantViolation, UsageError
 from nisqlab.metrics import check_hybrid_bound
 from nisqlab.oracles import (
@@ -344,15 +347,44 @@ class TestLiftedSimon:
         )
 
 
+def parity_query_circuit(oracle, lam):
+    """The circuit generate_noisy_parity samples for `oracle`."""
+    n = oracle.n_in
+    h_in = layer(*[H(i) for i in range(n)])
+    wires = tuple(range(n + oracle.m_out))
+    steps = [h_in, OracleCall("O", wires)] + ([] if oracle.m_out == 1 else [h_in])
+    return NoisyCircuit(len(wires), steps, lam)
+
+
+def reference_parity_solver(inst):
+    """The per-candidate loop over bit strings that the one scoring pass
+    replaced: rank (agreement, candidate) highest first, the zero candidate
+    dropped when every label is 0, None within 3 sqrt(m) of the runner-up."""
+    xs, ys = [format(x, f"0{inst.n}b") for x in inst.xs.tolist()], inst.ys.tolist()
+    scored = []
+    for w in range(inst.w_max + 1):
+        for pos in itertools.combinations(range(inst.k), w):
+            if w == 0 and not any(ys):
+                continue
+            agree = sum(sum(int(x[p]) for p in pos) % 2 == y for x, y in zip(xs, ys))
+            scored.append((agree, sum(1 << (inst.n - 1 - p) for p in pos)))
+    if not scored or not ys:
+        return None, scored
+    scored.sort(reverse=True)
+    if len(scored) > 1 and scored[0][0] - scored[1][0] < 3.0 * math.sqrt(len(ys)):
+        return None, scored
+    return format(scored[0][1], f"0{inst.n}b"), scored
+
+
 class TestNoisyParityGeneration:
     def test_noiseless_bv_samples(self):
         s = "1010"
         inst = generate_noisy_parity(make_bv(s), 0.0, 300, seed=5, true_s=s)
         assert inst.eta == 0.0
-        xs = {x for x, _ in inst.samples}
-        assert len(xs) > 4  # x really is spread out
-        for x, y in inst.samples:
-            assert parity(bits_to_int(x) & bits_to_int(s)) == y
+        assert inst.xs.dtype == np.int64 and inst.ys.dtype == np.uint8 and len(inst.xs) == 300
+        assert len(set(inst.xs.tolist())) > 4  # x really is spread out
+        for x, y in zip(inst.xs.tolist(), inst.ys.tolist()):
+            assert (x & bits_to_int(s)).bit_count() % 2 == y
 
     def test_noiseless_simon_samples(self):
         from nisqlab.oracles import SimonSpec, make_simon
@@ -362,8 +394,32 @@ class TestNoisyParityGeneration:
             make_simon(SimonSpec(4, s, seed=2)), 0.0, 300, seed=6, true_s=s
         )
         assert inst.eta == 0.0
-        for x, y in inst.samples:
-            assert y == 0 and parity(bits_to_int(x) & bits_to_int(s)) == 0
+        for x, y in zip(inst.xs.tolist(), inst.ys.tolist()):
+            assert 0 <= x < 16 and y == 0 and (x & bits_to_int(s)).bit_count() % 2 == 0
+
+    @pytest.mark.parametrize("style", ["bv", "simon"])
+    def test_samples_expand_the_sampler_counts(self, style):
+        # the instance is the sampler's counts, each word repeated by its
+        # count in increasing word order, split into x and its label
+        from nisqlab.oracles import SimonSpec, make_simon
+
+        s, lam, shots, seed = "0110", 0.2, 700, 21
+        oracle = make_bv(s) if style == "bv" else make_simon(SimonSpec(4, s, seed=4))
+        counts = sample_outcomes(
+            parity_query_circuit(oracle, lam), {"O": lift_to_unitary(oracle)}, seed=seed, shots=shots
+        )
+        pairs = [(int(w[:4], 2), int(w[4]) if style == "bv" else 0) for w in sorted(counts) for _ in range(counts[w])]
+        before = oracle.query_counter.value
+        inst = generate_noisy_parity(oracle, lam, shots, seed=seed, true_s=s)
+        assert oracle.query_counter.value - before == shots
+        assert list(zip(inst.xs.tolist(), inst.ys.tolist())) == pairs
+        flips = sum((x & bits_to_int(s)).bit_count() % 2 != y for x, y in pairs)
+        assert type(inst.eta) is float and inst.eta == flips / shots
+        assert 0 < flips < shots  # the recount sees both agreeing and flipped samples
+
+    def test_k_zero_is_usage_error(self):
+        with pytest.raises(UsageError, match="k <= n"):
+            generate_noisy_parity(make_bv("1010"), 0.1, 10, seed=1, k=0)
 
     def test_full_noise_half_rate(self):
         s = "1100"
@@ -410,39 +466,70 @@ class TestNoisyParityGeneration:
 class TestParitySolver:
     def make_instance(self, rng, n, s, eta, samples, k, w_max):
         s_int = bits_to_int(s)
-        pairs = []
+        xs, ys = [], []
         for _ in range(samples):
-            x = int(rng.integers(0, 2**n))
-            y = parity(x & s_int) ^ int(rng.random() < eta)
-            pairs.append((format(x, f"0{n}b"), y))
-        return NoisyParityInstance(n, tuple(pairs), k, w_max, eta)
+            xs.append(int(rng.integers(0, 2**n)))
+            ys.append((xs[-1] & s_int).bit_count() % 2 ^ int(rng.random() < eta))
+        return NoisyParityInstance(n, np.array(xs), np.array(ys), k, w_max, eta)
 
     def test_exact_recovery(self, rng):
         inst = self.make_instance(rng, 8, "10010000", 0.0, 300, 4, 2)
         assert solve_noisy_parity_bruteforce(inst) == "10010000"
 
     def test_contradictory_data_fails(self, rng):
-        pairs = []
+        xs = []
         for _ in range(100):
-            x = format(int(rng.integers(0, 16)), "04b")
-            pairs += [(x, 0), (x, 1)]
-        inst = NoisyParityInstance(4, tuple(pairs), 4, 2)
+            xs += [int(rng.integers(0, 16))] * 2
+        inst = NoisyParityInstance(4, np.array(xs), np.tile([0, 1], 100), 4, 2)
         assert solve_noisy_parity_bruteforce(inst) is None
 
     def test_zero_label_instances_exclude_zero(self, rng):
         # Simon-style data: labels all zero; the blank candidate would win
         s = "011000000000"
         s_int = bits_to_int(s)
-        pairs = []
-        while len(pairs) < 400:
+        xs = []
+        while len(xs) < 400:
             x = int(rng.integers(0, 2**12))
-            if parity(x & s_int) == 0:
-                pairs.append((format(x, "012b"), 0))
-        inst = NoisyParityInstance(12, tuple(pairs), 6, 2)
+            if (x & s_int).bit_count() % 2 == 0:
+                xs.append(x)
+        inst = NoisyParityInstance(12, np.array(xs), np.zeros(400, dtype=np.uint8), 6, 2)
         assert solve_noisy_parity_bruteforce(inst) == s
 
+    def test_no_samples_is_none(self):
+        assert solve_noisy_parity_bruteforce(NoisyParityInstance(4, [], [], 4, 2)) is None
+
+    @pytest.mark.parametrize("cells", [algorithms._SCORE_CELLS, 7])
+    def test_matches_the_per_candidate_loop(self, cells, monkeypatch):
+        # seven cells score one candidate at a time on all but the smallest instances
+        monkeypatch.setattr(algorithms, "_SCORE_CELLS", cells)
+        rng = np.random.default_rng(77)
+        seen = collections.Counter()
+        for _ in range(300):
+            n = int(rng.integers(2, 8))
+            k = int(rng.integers(1, n + 1))
+            w_max = int(rng.integers(0, k + 1))
+            m = int(rng.integers(0, 100))
+            xs = rng.integers(0, 2**n, size=m)
+            kind = rng.integers(0, 4)
+            if kind == 0:  # Simon-style: every label 0
+                ys = np.zeros(m, dtype=np.uint8)
+            elif kind == 1:  # each x twice, with both labels: every candidate ties
+                xs, ys = np.repeat(xs[: m // 2], 2), np.tile([0, 1], m // 2)
+            else:  # a planted secret behind label noise of rate 0 or 0.3
+                s = int(rng.integers(0, 2**n))
+                ys = (np.bitwise_count(xs & s) & 1) ^ (rng.random(m) < 0.3 * (kind - 2))
+            inst = NoisyParityInstance(n, xs, ys, k, w_max)
+            want, scored = reference_parity_solver(inst)
+            assert solve_noisy_parity_bruteforce(inst) == want
+            if len(scored) > 1:
+                gap = scored[0][0] - scored[1][0]
+                seen["tie" if gap == 0 else "narrow" if gap < 3.0 * math.sqrt(len(ys)) else "clear"] += 1
+            seen["zero dropped"] += bool(len(ys)) and not ys.any() and w_max > 0
+            seen["found"] += want is not None
+        assert min(seen[c] for c in ("tie", "narrow", "clear", "zero dropped", "found")) >= 5, seen
+
     def test_candidate_cap(self):
-        inst = NoisyParityInstance(40, (("0" * 40, 0),), 40, 10)
+        inst = NoisyParityInstance(40, [0], [0], 40, 10)
         with pytest.raises(CapacityError):
             solve_noisy_parity_bruteforce(inst)
 
@@ -461,6 +548,15 @@ class TestParitySolver:
 
     def test_validation(self):
         with pytest.raises(UsageError):
-            NoisyParityInstance(4, (), 5, 2)
+            NoisyParityInstance(4, [], [], 5, 2)
         with pytest.raises(UsageError):
-            NoisyParityInstance(4, (), 2, 3)
+            NoisyParityInstance(4, [], [], 2, 3)
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [([1, 2], [0]), ([3], [0, 1]), ([[3]], [[0]]), ([16], [0]), ([-1], [0]), ([3], [2]), ([3], [-1])],
+        ids=["short-ys", "short-xs", "2-d", "x-too-wide", "x-negative", "y-two", "y-negative"],
+    )
+    def test_sample_validation(self, xs, ys):
+        with pytest.raises(UsageError):
+            NoisyParityInstance(4, np.array(xs), np.array(ys), 4, 2)

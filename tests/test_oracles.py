@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from nisqlab import qsim
+from nisqlab.algorithms import BVRunConfig, bv_circuit, bv_repetitions, run_noisy_bv
 from nisqlab.errors import CapacityError, UsageError
+from nisqlab.harness import lecam_advantage, run_then_output
 from nisqlab.metrics import trace_norm
 from nisqlab.oracles import (
     ClassicalOracle,
@@ -14,6 +16,7 @@ from nisqlab.oracles import (
     SimonSpec,
     StateOracle,
     StateOracleBinding,
+    XorOracleBinding,
     lift_to_unitary,
     make_bv,
     make_grover_phase,
@@ -117,6 +120,28 @@ class TestLiftToUnitary:
         circ = NoisyCircuit(3, (OracleCall("f", (0, 1)),), 0.0)
         with pytest.raises(UsageError):
             exact_output_distribution(circ, {"f": binding})
+
+    def test_one_binding_per_oracle(self, monkeypatch):
+        f = make_bv("101")
+        built, own_perm = [], XorOracleBinding._own_perm
+        monkeypatch.setattr(XorOracleBinding, "_own_perm", lambda self: built.append(self) or own_perm(self))
+        assert lift_to_unitary(f) is lift_to_unitary(f)
+        assert lift_to_unitary(make_bv("101")) is not lift_to_unitary(f)
+        circ = NoisyCircuit(4, [layer(H(0), H(1), H(2)), OracleCall("O", (0, 1, 2, 3))], 0.1)
+        for seed in range(3):
+            sample_outcomes(circ, {"O": lift_to_unitary(f)}, seed=seed, shots=40)
+        assert len(built) == 1  # the lifted table is built by the first call alone
+        assert f.query_counter.value == 3 * 40
+
+    def test_cached_binding_counts_every_query(self):
+        # a BV run and a harness pair, each repeated on the same oracles
+        f, one, zero = make_bv("101"), make_bv("1"), make_bv("0")
+        cfg = BVRunConfig(3, 0.05, 0.1)
+        for rounds in (1, 2):
+            run_noisy_bv(cfg, f, seed=rounds)
+            lecam_advantage(run_then_output(bv_circuit(1, 0.1)), [(1.0, one)], [(1.0, zero)], 0.1)
+            assert f.query_counter.value == rounds * bv_repetitions(cfg)
+            assert (one.query_counter.value, zero.query_counter.value) == (rounds, rounds)
 
 
 class TestSimon:

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import threading
 import warnings
 from collections import Counter
 
@@ -975,6 +976,19 @@ class TestWalkGroups:
         assert sample_outcomes(circ, bindings, seed=3, shots=shots, threads=threads) == counts
         assert len(rows) == threads and sum(rows) == shots
         assert all(r % chunk == 0 for r in sorted(rows)[1:])  # whole chunks; the last walk may end early
+
+    @pytest.mark.parametrize("case, pooled", [("parity-n13", False), ("entangling-n10", True)])
+    def test_only_walks_that_densify_go_to_the_pool(self, case, pooled, monkeypatch):
+        # the parity circuit's oracle call is in its monomial tail: its walks stay product states
+        circ, bindings, _ = walk_group_cases()[case]
+        shots = 2 * qsim._chunk_rows(circ.n_qubits)  # two chunks: two walks at threads=2
+        counts = sample_outcomes(circ, bindings, seed=3, shots=shots)
+        main, threads, walk = threading.get_ident(), [], qsim._walk_draws
+        monkeypatch.setattr(
+            qsim, "_walk_draws", lambda c, b, kinds, u0: threads.append(threading.get_ident()) or walk(c, b, kinds, u0)
+        )
+        assert sample_outcomes(circ, bindings, seed=3, shots=shots, threads=2) == counts
+        assert len(threads) == 2 and all((t == main) != pooled for t in threads)
 
 
 class TestSerialization:
